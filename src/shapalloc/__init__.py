@@ -28,8 +28,6 @@ from .model import (
 )
 from .matching import (
     Allocation,
-    MatchingInstance,
-    build_instance,
     optimal_allocation,
     optimal_value_only,
 )
@@ -68,13 +66,11 @@ __all__ = [
     "Coalition",
     "ComponentTooLarge",
     "FprasConfig",
-    "MatchingInstance",
     "PreprocessReport",
     "RangeSamplerConfig",
     "ScenarioError",
     "ShapleyReport",
     "build_agents_graph",
-    "build_instance",
     "char_value",
     "component_of",
     "compute_ranges",

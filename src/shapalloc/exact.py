@@ -75,7 +75,6 @@ def exact_shapley(
     cache: CharacteristicCache | None = None,
     workers: int = 1,
     limit: int = DEFAULT_LIMIT,
-    kahan: bool = False,
 ) -> ShapleyReport:
     """Exact Shapley values of every agent, by full coalition enumeration.
 
@@ -101,16 +100,8 @@ def exact_shapley(
     results = _pool.run_jobs(_exact_job, jobs, payload, workers=workers)
 
     sv = np.zeros(n, dtype=np.float64)
-    if kahan:
-        comp = np.zeros(n, dtype=np.float64)
-        for partial, _ in results:
-            y = partial - comp
-            t = sv + y
-            comp = (t - sv) - y
-            sv = t
-    else:
-        for partial, _ in results:
-            sv = sv + partial
+    for partial, _ in results:
+        sv = sv + partial
     grand = char_value(scenario, scenario.full_mask, cache)
     wall = time.perf_counter() - t0
     agents = [

@@ -1,19 +1,20 @@
-"""Optimal allocation of goods to a coalition, as weighted bipartite matching.
+"""Optimal allocation of goods to a coalition, by the matroid greedy.
 
-Every solver in the package funnels through this kernel.  Capacity ``k`` is
-handled by giving each agent one left node per usable slot; goods with value
-zero are dropped up front (they can never change an optimal value).  Two
-interchangeable backends are used depending on instance size:
+All value sits on goods, so for a fixed coalition the sets of goods its
+members can hold together (each member at most ``k`` goods, each good one it
+is interested in) are the independent sets of a transversal matroid
+(Edmonds & Fulkerson 1965), and the greedy that takes goods by descending
+value, keeping each one that leaves the kept set independent, finds a
+maximum-value allocation (Edmonds 1971).  A good is kept when a
+breadth-first search finds an augmenting path from it: from the members
+interested in it, through goods held by full members to other members
+interested in those goods, up to a member holding fewer than ``k``.
 
-* dense: ``scipy.optimize.linear_sum_assignment`` on a slot x good matrix
-  padded implicitly with zero-weight non-edges;
-* sparse: ``scipy.sparse.csgraph.min_weight_full_bipartite_matching`` on a
-  cost matrix ``(C + 1) - value`` with one private parking column per slot,
-  which makes a full matching always feasible and keeps costs positive.
-
-Both are exact and deterministic for a fixed instance; routing is by size
-only, so repeated evaluations of the same coalition always take the same
-path and return the same float.
+Goods with value zero are never taken.  Goods are taken in one fixed order
+(value descending, ties by ascending good index) and a coalition's value is
+the sum of its kept goods in ascending good index, so it is a deterministic
+function of the scenario and the coalition.  Every solver in the package
+funnels through this kernel.
 """
 
 from __future__ import annotations
@@ -22,79 +23,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .model import Coalition, ScenarioError, mask_to_indices
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import AllocationScenario
-
-# Above this many matrix cells the sparse backend wins (measured crossover).
-DENSE_CELL_LIMIT = 20_000
-
-
-@dataclass
-class MatchingInstance:
-    """Bipartite instance for one coalition.
-
-    ``slot_agents[r]`` is the agent index owning left node ``r``; columns are
-    the positive-value goods any member is interested in, ascending by good
-    index.  Edge (slot of agent a, good g) exists iff g is in a's interest,
-    with weight equal to the good's value (strictly positive).
-    """
-
-    slot_agents: np.ndarray
-    cols: np.ndarray
-    col_values: np.ndarray
-    edge_rows: np.ndarray
-    edge_cols: np.ndarray  # local column positions
-    n_slots: int
-
-
-def build_instance(scenario: "AllocationScenario", coalition: Coalition) -> MatchingInstance:
-    members = mask_to_indices(coalition, scenario.n)
-    lens = scenario.pos_lens[members]
-    slots = np.minimum(lens, scenario.k)
-    n_edges = int(lens.sum())
-    if n_edges == 0:
-        return MatchingInstance(
-            slot_agents=np.empty(0, dtype=np.intp),
-            cols=np.empty(0, dtype=np.intp),
-            col_values=np.empty(0),
-            edge_rows=np.empty(0, dtype=np.intp),
-            edge_cols=np.empty(0, dtype=np.intp),
-            n_slots=0,
-        )
-    # gather each member's interest segment from the flattened layout
-    seg_starts = scenario.pos_offsets[members]
-    out_starts = np.concatenate(([0], np.cumsum(lens)))[:-1]
-    gather = np.repeat(seg_starts - out_starts, lens) + np.arange(n_edges)
-    goods_cat = scenario.pos_flat[gather]
-    cols, inv = np.unique(goods_cat, return_inverse=True)
-    # slot rows are contiguous per member; slot 0 edges first, higher slots
-    # duplicate their member's segment
-    row_base = np.concatenate(([0], np.cumsum(slots)))[:-1]
-    rows_first = np.repeat(row_base, lens)
-    edge_rows = [rows_first]
-    edge_cols = [inv]
-    for extra in range(1, scenario.k):
-        with_slot = slots > extra
-        if not with_slot.any():
-            break
-        edge_sel = np.repeat(with_slot, lens)
-        edge_rows.append(rows_first[edge_sel] + extra)
-        edge_cols.append(inv[edge_sel])
-    return MatchingInstance(
-        slot_agents=np.repeat(members, slots).astype(np.intp),
-        cols=cols,
-        col_values=scenario.good_values[cols],
-        edge_rows=np.concatenate(edge_rows),
-        edge_cols=np.concatenate(edge_cols),
-        n_slots=int(slots.sum()),
-    )
-
 
 # matchings performed in this process; jobs report deltas so parallel runs
 # can still aggregate a meaningful total
@@ -105,31 +38,68 @@ def solve_calls() -> int:
     return _SOLVE_CALLS
 
 
-def _solve(inst: MatchingInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Matched (slot row, local column) pairs of an optimal assignment."""
+def _greedy(scenario: "AllocationScenario", coalition: Coalition) -> dict[int, int]:
+    """Holder of every good in an optimal allocation for the coalition."""
     global _SOLVE_CALLS
     _SOLVE_CALLS += 1
-    n_rows, n_cols = inst.n_slots, len(inst.cols)
-    if n_rows == 0 or n_cols == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    if n_rows * n_cols <= DENSE_CELL_LIMIT:
-        W = np.zeros((n_rows, n_cols))
-        W[inst.edge_rows, inst.edge_cols] = inst.col_values[inst.edge_cols]
-        rows, cols = linear_sum_assignment(W, maximize=True)
-        real = W[rows, cols] > 0.0
-        return rows[real], cols[real]
-    # Sparse: minimize (C+1) - value over a full matching with parking columns.
-    ceiling = float(inst.col_values.max()) + 1.0
-    data = np.concatenate([
-        ceiling - inst.col_values[inst.edge_cols],
-        np.full(n_rows, ceiling),
-    ])
-    rows = np.concatenate([inst.edge_rows, np.arange(n_rows)])
-    cols = np.concatenate([inst.edge_cols, n_cols + np.arange(n_rows)])
-    M = csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols + n_rows))
-    r, c = min_weight_full_bipartite_matching(M)
-    real = c < n_cols
-    return r[real], c[real]
+    k = scenario.k
+    claimers = scenario.good_claimers
+    load: dict[int, int] = {}  # goods held by each member still searched
+    held: dict[int, list[int]] = {}
+    goods: set[int] = set()
+    for a in mask_to_indices(coalition, scenario.n).tolist():
+        load[a] = 0
+        held[a] = []
+        goods.update(scenario.interest[a])
+    holder: dict[int, int] = {}
+    for g in sorted(goods, key=scenario.good_rank.__getitem__):
+        # the first interested member with room takes g; if all are full,
+        # search onward from them, breadth first
+        parent: dict[int, tuple[int, int] | None] = {}
+        end = -1
+        for a in claimers[g]:
+            if a in load:
+                if load[a] < k:
+                    end = a
+                    break
+                parent[a] = None
+        if end < 0:
+            queue = list(parent)
+            for a in queue:
+                if load[a] < k:
+                    end = a
+                    break
+                for g2 in held[a]:
+                    for b in claimers[g2]:
+                        if b in load and b not in parent:
+                            parent[b] = (a, g2)
+                            queue.append(b)
+            if end < 0:
+                # every member reached is full and reaches only full
+                # members, so no later augmenting path passes through them
+                for a in queue:
+                    del load[a]
+                continue
+        load[end] += 1
+        b = end
+        step = parent.get(b)
+        while step is not None:
+            a, g2 = step
+            held[a].remove(g2)
+            held[b].append(g2)
+            holder[g2] = b
+            b = a
+            step = parent[b]
+        held[b].append(g)
+        holder[g] = b
+    return holder
+
+
+def _value(scenario: "AllocationScenario", holder: dict[int, int]) -> float:
+    """Total value of the held goods, summed in ascending good index."""
+    if not holder:
+        return 0.0
+    return float(np.sum(scenario.good_values[sorted(holder)]))
 
 
 def optimal_value_only(scenario: "AllocationScenario", coalition: Coalition) -> float:
@@ -143,11 +113,7 @@ def optimal_value_only(scenario: "AllocationScenario", coalition: Coalition) -> 
         return 0.0
     if coalition & (coalition - 1) == 0:
         return float(scenario.solo_value[coalition.bit_length() - 1])
-    inst = build_instance(scenario, coalition)
-    _, cols = _solve(inst)
-    if len(cols) == 0:
-        return 0.0
-    return float(np.sum(inst.col_values[np.sort(cols)]))
+    return _value(scenario, _greedy(scenario, coalition))
 
 
 @dataclass
@@ -184,7 +150,7 @@ class Allocation:
 def marginal_gain(scenario: "AllocationScenario", coalition: Coalition, i: int) -> float:
     """opt(coalition + i) - opt(coalition), without valuing either side.
 
-    One optimal matching of ``coalition`` is computed; agent ``i`` is then
+    One optimal allocation of ``coalition`` is computed; agent ``i`` is then
     added one capacity unit at a time.  Adding a unit changes the optimal
     matching by a single alternating path from ``i``, whose net gain is the
     value of the free good at its far end (displaced holders keep their
@@ -202,14 +168,9 @@ def marginal_gain(scenario: "AllocationScenario", coalition: Coalition, i: int) 
     capacity = min(scenario.k, len(own))
     if capacity == 0:
         return 0.0
-    inst = build_instance(scenario, coalition)
-    rows, cols = _solve(inst)
-    held_by: dict[int, int] = {}
+    held_by = _greedy(scenario, coalition)
     held: dict[int, set[int]] = {}
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        agent = int(inst.slot_agents[r])
-        good = int(inst.cols[c])
-        held_by[good] = agent
+    for good, agent in held_by.items():
         held.setdefault(agent, set()).add(good)
     values = scenario.good_values
     interest = scenario.positive_goods
@@ -274,12 +235,10 @@ def optimal_allocation(
             assignment[scenario.agents[i]].add(scenario.good_ids[int(j)])
         value = float(scenario.solo_value[i])
     else:
-        inst = build_instance(scenario, coalition)
-        rows, cols = _solve(inst)
-        for r, c in zip(rows, cols):
-            agent = scenario.agents[int(inst.slot_agents[r])]
-            assignment[agent].add(scenario.good_ids[int(inst.cols[c])])
-        value = float(np.sum(inst.col_values[np.sort(cols)])) if len(cols) else 0.0
+        holder = _greedy(scenario, coalition)
+        for g, a in holder.items():
+            assignment[scenario.agents[a]].add(scenario.good_ids[g])
+        value = _value(scenario, holder)
     return (
         Allocation(assignment={a: frozenset(g) for a, g in assignment.items()}),
         value,

@@ -15,6 +15,7 @@ any size.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -42,6 +43,8 @@ class AllocationScenario:
         interest: Mapping[str, Iterable[str]],
         k: int,
     ):
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ScenarioError(f"capacity must be an integer, got {k!r}")
         if k < 1:
             raise ScenarioError(f"capacity must be >= 1, got {k}")
         self.agents = tuple(str(a) for a in agents)
@@ -51,6 +54,12 @@ class AllocationScenario:
         if len(set(self.good_ids)) != len(self.good_ids):
             raise ScenarioError("duplicate good ids")
         self.good_values = np.asarray([float(v) for _, v in goods], dtype=np.float64)
+        finite = np.isfinite(self.good_values)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ScenarioError(
+                f"good {self.good_ids[j]!r} has non-finite value {self.good_values[j]}"
+            )
         if len(self.good_values) and self.good_values.min() < 0:
             bad = self.good_ids[int(np.argmin(self.good_values))]
             raise ScenarioError(f"good {bad!r} has negative value")
@@ -73,38 +82,42 @@ class AllocationScenario:
                 [j for j in row if self.good_values[j] > 0.0], dtype=np.intp
             )
             self._pos_interest.append(pos)
-        self.slots = np.asarray(
-            [min(self.k, len(p)) for p in self._pos_interest], dtype=np.intp
-        )
-        # flattened interest segments let matching gather coalition edges
-        # without touching Python per member
-        self.pos_lens = np.asarray([len(p) for p in self._pos_interest], dtype=np.intp)
-        self.pos_offsets = np.concatenate(([0], np.cumsum(self.pos_lens))).astype(np.intp)
-        self.pos_flat = (
-            np.concatenate(self._pos_interest)
-            if int(self.pos_lens.sum())
-            else np.empty(0, dtype=np.intp)
-        )
+        # Agents interested in each positive-value good, ascending (empty for
+        # zero-value goods), and each good's position in the order the
+        # matching greedy takes goods: value descending, ties by good index.
+        claimers: list[list[int]] = [[] for _ in self.good_ids]
+        for i, pos in enumerate(self._pos_interest):
+            for j in pos.tolist():
+                claimers[j].append(i)
+        self.good_claimers: tuple[tuple[int, ...], ...] = tuple(map(tuple, claimers))
+        n_goods = len(self.good_ids)
+        order = np.lexsort((np.arange(n_goods), -self.good_values))
+        rank = np.empty(n_goods, dtype=np.intp)
+        rank[order] = np.arange(n_goods)
+        self.good_rank: list[int] = rank.tolist()
 
-        # Best goods an agent can get alone: top `slots` values, ties broken
-        # by good index.  This is the canonical singleton worth used by every
-        # solver, so the float is computed once here.
+        # Best goods an agent can get alone: its first `k` goods in the
+        # greedy's order.  This is the canonical singleton worth used by
+        # every solver, so the float is computed once here.
         self._solo_goods: list[np.ndarray] = []
         solo = np.zeros(len(self.agents), dtype=np.float64)
         for i, pos in enumerate(self._pos_interest):
-            if len(pos) == 0:
-                self._solo_goods.append(pos)
-                continue
-            vals = self.good_values[pos]
-            order = np.lexsort((pos, -vals))[: self.slots[i]]
-            chosen = pos[order]
+            chosen = np.asarray(
+                sorted(pos.tolist(), key=self.good_rank.__getitem__)[: self.k],
+                dtype=np.intp,
+            )
             self._solo_goods.append(chosen)
-            solo[i] = float(np.sum(self.good_values[chosen]))
+            if len(chosen):
+                solo[i] = float(np.sum(self.good_values[chosen]))
         self.solo_value = solo
 
         self._graph: AgentsGraph | None = None
 
     def _interest_row(self, agent: str, ids: Iterable[str]) -> tuple[int, ...]:
+        if isinstance(ids, (str, bytes)):
+            raise ScenarioError(
+                f"interest of agent {agent!r} must be a list of good ids, got {ids!r}"
+            )
         out = []
         for g in ids:
             j = self.good_index.get(str(g))
@@ -303,16 +316,13 @@ class AgentsGraph:
 
 def build_agents_graph(scenario: AllocationScenario) -> AgentsGraph:
     n = scenario.n
-    good_claimers = [0] * len(scenario.good_ids)
-    for i in range(n):
-        for j in scenario.positive_goods(i):
-            good_claimers[j] |= 1 << i
     neigh = [0] * n
-    for j, claimers in enumerate(good_claimers):
-        if claimers.bit_count() < 2:
+    for claimers in scenario.good_claimers:
+        if len(claimers) < 2:
             continue
-        for i in iter_bits(claimers):
-            neigh[i] |= claimers
+        mask = mask_from_indices(claimers)
+        for i in claimers:
+            neigh[i] |= mask
     for i in range(n):
         neigh[i] &= ~(1 << i)
     return AgentsGraph(n=n, neighbor_masks=tuple(neigh))

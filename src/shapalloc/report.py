@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass, field, asdict
 from typing import Iterable
 
+from .model import ScenarioError
+
 
 @dataclass
 class AgentResult:
@@ -65,10 +67,13 @@ class ShapleyReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShapleyReport":
-        return cls(
-            agents=[AgentResult(**a) for a in data.get("agents", [])],
-            meta=data.get("meta", {}),
-        )
+        if not isinstance(data, dict):
+            raise ScenarioError("malformed report: expected a JSON object")
+        try:
+            agents = [AgentResult(**a) for a in data.get("agents", [])]
+        except TypeError as exc:
+            raise ScenarioError(f"malformed report record: {exc}") from exc
+        return cls(agents=agents, meta=data.get("meta", {}))
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

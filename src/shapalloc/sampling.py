@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,38 @@ from .report import AgentResult, ShapleyReport
 
 def _job_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def _snapshot(cache: CharacteristicCache) -> dict[str, int]:
+    """Matchings run and cache lookups so far, for per-job deltas."""
+    return {"matchings": matching.solve_calls(), "hits": cache.hits, "misses": cache.misses}
+
+
+def _since(before: dict[str, int], cache: CharacteristicCache) -> dict[str, int]:
+    now = _snapshot(cache)
+    return {name: now[name] - before[name] for name in now}
+
+
+def _run_batched(job_fn, budgets, batch: int, payload, workers: int):
+    """Run sampling jobs over per-key budgets split into batches.
+
+    ``budgets`` pairs each key (a run, or an agent) with its sample count.
+    Each job is ``(key, batch index, count)`` with at most ``batch`` samples
+    and returns ``(key, part, counts)``, where ``counts`` holds that job's
+    own counter deltas.  Parts are summed per key and counts over all jobs,
+    both in job order, so the merge is the same for any worker count.
+    """
+    jobs = [
+        (key, b, min(batch, budget - start))
+        for key, budget in budgets
+        for b, start in enumerate(range(0, budget, batch))
+    ]
+    parts: dict = {}
+    counts: Counter[str] = Counter()
+    for key, part, job_counts in _pool.run_jobs(job_fn, jobs, payload, workers=workers):
+        parts[key] = parts.get(key, 0.0) + part
+        counts.update(job_counts)
+    return parts, counts
 
 
 # ---------------------------------------------------------------------------
@@ -88,13 +121,13 @@ def _fpras_loop_job(payload, job):
     run, batch_idx, count = job
     if cache is None:
         cache = _pool.worker_cache(cap)
+    before = _snapshot(cache)
     rng = _job_rng(seed, 0, run, batch_idx)
     n = scenario.n
     neigh = scenario.graph.neighbor_masks
     solo = scenario.solo_value
     sums = np.zeros(n, dtype=np.float64)
     hits = 0
-    solved_before = matching.solve_calls()
     for _ in range(count):
         perm = rng.permutation(n).tolist()
         coalition = 0
@@ -110,10 +143,12 @@ def _fpras_loop_job(payload, job):
                 contrib = marginal_restricted(scenario, j, coalition, cache)
             sums[j] += contrib
             coalition |= bit
-    return run, sums, hits, matching.solve_calls() - solved_before, cache.stats()
+    return run, sums, {"shortcut_hits": hits, **_since(before, cache)}
 
 
-def _fpras_table_job(vtab, neigh_arr, solo_arr, n, seed, run, batch_idx, count):
+def _fpras_table_job(payload, job):
+    vtab, neigh_arr, solo_arr, n, seed = payload
+    run, batch_idx, count = job
     rng = _job_rng(seed, 0, run, batch_idx)
     perms = np.vstack([rng.permutation(n) for _ in range(count)])
     bitvals = np.int64(1) << perms.astype(np.int64)
@@ -124,7 +159,7 @@ def _fpras_table_job(vtab, neigh_arr, solo_arr, n, seed, run, batch_idx, count):
     contrib = np.where(disconnected, solo_arr[perms], contrib)
     sums = np.zeros(n, dtype=np.float64)
     np.add.at(sums, perms.ravel(), contrib.ravel())
-    return sums, int(disconnected.sum())
+    return run, sums, {"shortcut_hits": int(disconnected.sum())}
 
 
 def fpras_shapley(
@@ -155,42 +190,25 @@ def fpras_shapley(
     m_target = cfg.contributions_per_run(n)
     use_table = n <= cfg.table_limit and perms_per_run * n >= (1 << n)
 
-    batches = []
-    left = perms_per_run
-    b = 0
-    while left > 0:
-        take = min(cfg.batch_perms, left)
-        batches.append((b, take))
-        left -= take
-        b += 1
-
-    run_sums = np.zeros((cfg.runs, n), dtype=np.float64)
-    hits = 0
-    matchings = 0
+    budgets = [(run, perms_per_run) for run in range(cfg.runs)]
     if use_table:
         if cache is None:
             cache = CharacteristicCache()
-        solved_before = matching.solve_calls()
+        before = _snapshot(cache)
         vtab = np.empty(1 << n, dtype=np.float64)
         for m in range(1 << n):
             vtab[m] = char_value(scenario, m, cache)
-        matchings = matching.solve_calls() - solved_before
-        neigh_arr = np.asarray(scenario.graph.neighbor_masks, dtype=np.int64)
-        solo_arr = scenario.solo_value
-        for run in range(cfg.runs):
-            for batch_idx, count in batches:
-                sums, h = _fpras_table_job(
-                    vtab, neigh_arr, solo_arr, n, cfg.seed, run, batch_idx, count
-                )
-                run_sums[run] += sums
-                hits += h
-        cache_stats = cache.stats()
+        built = _since(before, cache)
+        payload = (
+            vtab,
+            np.asarray(scenario.graph.neighbor_masks, dtype=np.int64),
+            scenario.solo_value,
+            n,
+            cfg.seed,
+        )
+        sums, counts = _run_batched(_fpras_table_job, budgets, cfg.batch_perms, payload, 1)
+        counts.update(built)
     else:
-        jobs = [
-            (run, batch_idx, count)
-            for run in range(cfg.runs)
-            for batch_idx, count in batches
-        ]
         payload = (
             scenario,
             cache if cfg.workers <= 1 else None,
@@ -198,14 +216,10 @@ def fpras_shapley(
             cfg.shortcut,
             cfg.cache_max_entries,
         )
-        results = _pool.run_jobs(_fpras_loop_job, jobs, payload, workers=cfg.workers)
-        cache_stats = {"hits": 0, "misses": 0, "entries": 0}
-        for run, sums, h, solved, stats in results:
-            run_sums[run] += sums
-            hits += h
-            matchings += solved
-            for key in cache_stats:
-                cache_stats[key] += stats.get(key, 0)
+        sums, counts = _run_batched(
+            _fpras_loop_job, budgets, cfg.batch_perms, payload, cfg.workers
+        )
+    run_sums = np.vstack([sums[run] for run in range(cfg.runs)])
 
     estimates = run_sums / perms_per_run
     medians = np.median(estimates, axis=0)
@@ -239,12 +253,12 @@ def fpras_shapley(
         "contributions_target_per_run": m_target,
         "contributions_per_run": perms_per_run * n,
         "permutations_per_run": perms_per_run,
-        "shortcut_hits": hits,
-        "shortcut_fraction": hits / (perms_per_run * n * cfg.runs),
+        "shortcut_hits": counts["shortcut_hits"],
+        "shortcut_fraction": counts["shortcut_hits"] / (perms_per_run * n * cfg.runs),
         "scale_factor": scale,
         "grand_value": grand,
-        "matchings": matchings,
-        "cache": cache_stats,
+        "matchings": counts["matchings"],
+        "cache": {"hits": counts["hits"], "misses": counts["misses"]},
         "wall_time": time.perf_counter() - t0,
     }
     return ShapleyReport(agents=agents, meta=meta)
@@ -325,6 +339,7 @@ def _range_job(payload, job):
     i, batch_idx, count = job
     if cache is None:
         cache = _pool.worker_cache(cap)
+    before = _snapshot(cache)
     rng = _job_rng(seed, 1, i, batch_idx)
     n = scenario.n
     others = np.delete(np.arange(n, dtype=np.intp), i)
@@ -332,7 +347,6 @@ def _range_job(payload, job):
     subsets = rng.permuted(np.tile(others, (count, 1)), axis=1)
     total = 0.0
     members = np.zeros(n, dtype=bool)
-    solved_before = matching.solve_calls()
     for t in range(count):
         size = sizes[t]
         if size == 0:
@@ -342,7 +356,7 @@ def _range_job(payload, job):
             members[subsets[t, :size]] = True
             mask = mask_from_bool(members)
         total += marginal_restricted(scenario, i, mask, cache)
-    return i, total, matching.solve_calls() - solved_before, cache.stats()
+    return i, total, _since(before, cache)
 
 
 def range_sampler_shapley(
@@ -392,26 +406,9 @@ def range_sampler_shapley(
         for a in scenario.agents
     }
 
-    jobs = []
-    for i, a in enumerate(scenario.agents):
-        left = needed[a]
-        batch_idx = 0
-        while left > 0:
-            take = min(cfg.batch_size, left)
-            jobs.append((i, batch_idx, take))
-            left -= take
-            batch_idx += 1
+    budgets = [(i, needed[a]) for i, a in enumerate(scenario.agents)]
     payload = (scenario, cache if cfg.workers <= 1 else None, cfg.seed, cfg.cache_max_entries)
-    results = _pool.run_jobs(_range_job, jobs, payload, workers=cfg.workers)
-
-    totals = np.zeros(n, dtype=np.float64)
-    cache_stats = {"hits": 0, "misses": 0, "entries": 0}
-    matchings = 0
-    for i, total, solved, stats in results:
-        totals[i] += total
-        matchings += solved
-        for key in cache_stats:
-            cache_stats[key] += stats.get(key, 0)
+    totals, counts = _run_batched(_range_job, budgets, cfg.batch_size, payload, cfg.workers)
 
     agents = []
     for i, a in enumerate(scenario.agents):
@@ -437,9 +434,9 @@ def range_sampler_shapley(
         "seed": cfg.seed,
         "workers": cfg.workers,
         "total_samples": int(sum(needed.values())),
-        "matchings": matchings,
+        "matchings": counts["matchings"],
         "ranges": {a: r.width for a, r in ranges.items()},
-        "cache": cache_stats,
+        "cache": {"hits": counts["hits"], "misses": counts["misses"]},
         "wall_time": time.perf_counter() - t0,
     }
     return ShapleyReport(agents=agents, meta=meta)

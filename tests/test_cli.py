@@ -207,6 +207,23 @@ def test_compare_mismatched_agents_fails(ref_file, tmp_path):
     assert run_cli("compare", "--report-a", str(rep_path), "--report-b", str(other_path)) == 2
 
 
+def test_compare_malformed_report_fails_cleanly(ref_file, tmp_path, capsys):
+    rep_path = tmp_path / "rep.json"
+    run_cli("exact", "--scenario", ref_file, "--threads", "1", "--out", str(rep_path))
+    record = load(rep_path)["agents"][0]
+    bad_reports = {
+        "unknown_key": {"agents": [{**record, "bogus": 1}]},
+        "missing_key": {"agents": [{k: v for k, v in record.items() if k != "kind"}]},
+        "not_an_object": [record],
+    }
+    for name, data in bad_reports.items():
+        bad_path = tmp_path / f"{name}.json"
+        bad_path.write_text(json.dumps(data))
+        assert run_cli("compare", "--report-a", str(rep_path),
+                       "--report-b", str(bad_path)) == 2, name
+        assert "error:" in capsys.readouterr().err, name
+
+
 def test_missing_file_reports_error(tmp_path, capsys):
     assert run_cli("exact", "--scenario", str(tmp_path / "nope.json")) == 2
     assert "error:" in capsys.readouterr().err

@@ -143,12 +143,6 @@ class TestExactShapley:
         with pytest.raises(sa.ComponentTooLarge, match="limit"):
             sa.exact_shapley(small, limit=1)
 
-    def test_kahan_flag_agrees(self):
-        scn = random_scenario(240, n=9)
-        plain = [r.value for r in sa.exact_shapley(scn).agents]
-        kahan = [r.value for r in sa.exact_shapley(scn, kahan=True).agents]
-        assert kahan == pytest.approx(plain, rel=1e-12, abs=1e-15)
-
     def test_efficiency_gap_reported(self):
         scn = random_scenario(241, n=7)
         rep = sa.exact_shapley(scn)

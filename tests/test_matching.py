@@ -114,34 +114,20 @@ def test_allocations_feasible_on_random_instances():
             assert value >= 0.0
 
 
-def test_instance_structure():
-    scn = random_scenario(50, n=6, k=2)
-    inst = sa.build_instance(scn, scn.full_mask)
-    # one slot per usable capacity unit
-    expect_slots = sum(
-        min(scn.k, len(scn.positive_goods(i))) for i in range(scn.n)
-    )
-    assert inst.n_slots == expect_slots
-    # every edge weight strictly positive, every column a positive-value good
-    assert (inst.col_values > 0).all()
-    assert len(inst.edge_rows) == len(inst.edge_cols)
-
-
-def test_sparse_backend_agrees_with_dense(monkeypatch):
-    scenarios = [random_scenario(s, n=8, k=2) for s in (61, 62, 63)]
-    dense_vals = [sa.optimal_value_only(s, s.full_mask) for s in scenarios]
-    monkeypatch.setattr(matching, "DENSE_CELL_LIMIT", 0)
-    sparse_vals = [sa.optimal_value_only(s, s.full_mask) for s in scenarios]
-    for d, s in zip(dense_vals, sparse_vals):
-        assert s == pytest.approx(d, rel=1e-12, abs=1e-12)
-
-
-def test_sparse_backend_allocation_feasible(monkeypatch):
-    monkeypatch.setattr(matching, "DENSE_CELL_LIMIT", 0)
-    scn = random_scenario(64, n=8, k=2)
-    alloc, value = sa.optimal_allocation(scn, scn.full_mask)
-    alloc.validate(scn, scn.full_mask)
-    assert value == pytest.approx(brute_force_opt(scn), rel=1e-9)
+def test_exhaustive_against_brute_force_with_ties():
+    # grade-scale values make ties common, so several optimal good sets exist
+    for k in (1, 2, 3):
+        for seed in range(4):
+            scn = sa.generate(agents=6, goods_per_agent=2.0, coauthor_prob=0.5,
+                              k=k, seed=100 * k + seed)
+            for m in range(1 << scn.n):
+                want = brute_force_opt(scn, m)
+                assert sa.optimal_value_only(scn, m) == pytest.approx(
+                    want, rel=1e-12, abs=1e-12
+                ), (k, seed, m)
+                alloc, value = sa.optimal_allocation(scn, m)
+                alloc.validate(scn, m)
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-12), (k, seed, m)
 
 
 class TestMarginalGain:

@@ -229,6 +229,35 @@ class TestScenarioValidation:
         with pytest.raises(sa.ScenarioError, match="capacity"):
             sa.AllocationScenario(["x"], [("g", 1.0)], {"x": ["g"]}, k=0)
 
+    def test_nan_value_rejected(self):
+        with pytest.raises(sa.ScenarioError, match="non-finite"):
+            sa.AllocationScenario(["x", "y"], [("g", float("nan"))],
+                                  {"x": ["g"], "y": ["g"]}, k=1)
+
+    def test_infinite_value_rejected(self):
+        for v in (float("inf"), float("-inf")):
+            with pytest.raises(sa.ScenarioError, match="non-finite"):
+                sa.AllocationScenario(["x", "y"], [("g", 1.0), ("h", v)],
+                                      {"x": ["g", "h"], "y": ["h"]}, k=1)
+
+    def test_non_integer_capacity_rejected(self):
+        for k in (2.5, 2.0, "2"):
+            with pytest.raises(sa.ScenarioError, match="integer"):
+                sa.AllocationScenario(["x"], [("g", 1.0)], {"x": ["g"]}, k=k)
+
+    def test_boolean_capacity_rejected(self):
+        with pytest.raises(sa.ScenarioError, match="integer"):
+            sa.AllocationScenario(["x"], [("g", 1.0)], {"x": ["g"]}, k=True)
+
+    def test_string_interest_rejected(self):
+        data = {
+            "k": 1,
+            "goods": [{"id": g, "value": 1.0} for g in ("g", "1", "2", "g12")],
+            "agents": [{"id": "x", "interest": "g12"}],
+        }
+        with pytest.raises(sa.ScenarioError, match="list of good ids"):
+            sa.AllocationScenario.from_dict(data)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(sa.ScenarioError):
             sa.AllocationScenario(["x", "x"], [("g", 1.0)], {"x": ["g"]}, k=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import shapalloc as sa
+from shapalloc import _pool
 
 from conftest import exact_values, random_scenario
 from oracles import prefix_law_expectation
@@ -217,3 +218,35 @@ class TestFpras:
         scn = sa.AllocationScenario([], [], {}, k=1)
         rep = sa.fpras_shapley(scn, epsilon=0.3, delta=0.1)
         assert rep.agents == []
+
+
+@pytest.mark.parametrize("sampler", ["range", "fpras"])
+def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, sampler):
+    scn = random_scenario(480, n=10)
+
+    def run(workers, cache=None):
+        if sampler == "range":
+            cfg = sa.RangeSamplerConfig(epsilon=0.3, delta=0.1, seed=4, batch_size=16,
+                                        workers=workers)
+            return sa.range_sampler_shapley(scn, cache, cfg=cfg)
+        cfg = sa.FprasConfig(epsilon=0.6, delta=0.3, seed=4, table_limit=4, batch_perms=8,
+                             workers=workers)
+        return sa.fpras_shapley(scn, cache, cfg=cfg)
+
+    two = run(2).meta["cache"]
+    # lookups the passed cache sees while the sampling jobs run
+    cache = sa.CharacteristicCache()
+    seen = []
+    run_jobs = _pool.run_jobs
+
+    def spy(fn, jobs, payload, workers=1):
+        before = cache.hits + cache.misses
+        out = run_jobs(fn, jobs, payload, workers=workers)
+        seen.append(cache.hits + cache.misses - before)
+        return out
+
+    monkeypatch.setattr(_pool, "run_jobs", spy)
+    one = run(1, cache).meta["cache"]
+    assert seen[0] > 0
+    assert seen == [one["hits"] + one["misses"]]
+    assert one["hits"] + one["misses"] == two["hits"] + two["misses"]
