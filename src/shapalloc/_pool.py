@@ -1,15 +1,19 @@
 """Deterministic job execution over an optional process pool.
 
-Heavy solvers split work into an ordered list of self-describing jobs.  A
-producer hands jobs to workers; partial results are merged strictly in job
-order, so the final numbers are identical whatever the worker count or
-scheduling -- the single-worker run is the reference and the parallel runs
-reproduce it bit for bit.
+Heavy solvers split work into an ordered list of self-describing jobs, and
+``run_jobs`` is the one place that decides where a job's characteristic
+cache lives and that counts the job's work.  In process, every job uses the
+caller's cache.  In a pool, each worker receives the shared payload once,
+via the pool initializer, together with a private cache of the caller's
+cache's capacity that lives as long as the pool.  Caches never change a
+value, so per-worker caches cannot change a result; only the hit count does.
 
-Workers receive the shared payload (scenario and friends) once, via the pool
-initializer, and keep a private characteristic cache for the life of the
-pool.  Caches are per-worker rather than shared: cached values are
-deterministic, so merged results cannot differ.
+Each job is wrapped with the deltas of ``matching.solve_calls()`` and of its
+cache's hits and misses, and the runner returns their sums next to the
+results.  Partial results come back strictly in job order, so the final
+numbers are identical whatever the worker count or scheduling -- the
+single-worker run is the reference and the parallel runs reproduce it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -19,29 +23,29 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence
 
+from . import matching
+from .model import CharacteristicCache
+
 _PAYLOAD: Any = None
-_WORKER_CACHE: Any = None
+_CACHE: CharacteristicCache | None = None
 
 
-def _init_worker(payload):
-    global _PAYLOAD, _WORKER_CACHE
+def _init_worker(payload, max_entries):
+    global _PAYLOAD, _CACHE
     _PAYLOAD = payload
-    _WORKER_CACHE = None
+    _CACHE = CharacteristicCache(max_entries)
 
 
-def worker_cache(max_entries: int | None = None):
-    """Per-process characteristic cache, fresh for each run_jobs invocation."""
-    global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        from .model import CharacteristicCache
-
-        _WORKER_CACHE = CharacteristicCache(max_entries)
-    return _WORKER_CACHE
+def _counted(fn, payload, cache: CharacteristicCache, job):
+    """``fn``'s result and the matchings, hits and misses it caused."""
+    m0, h0, x0 = matching.solve_calls(), cache.hits, cache.misses
+    out = fn(payload, cache, job)
+    return out, (matching.solve_calls() - m0, cache.hits - h0, cache.misses - x0)
 
 
 def _call(args):
     fn, job = args
-    return fn(_PAYLOAD, job)
+    return _counted(fn, _PAYLOAD, _CACHE, job)
 
 
 def default_workers() -> int:
@@ -55,26 +59,31 @@ def default_workers() -> int:
 
 
 def run_jobs(
-    fn: Callable[[Any, Any], Any],
+    fn: Callable[[Any, CharacteristicCache, Any], Any],
     jobs: Sequence[Any],
     payload: Any,
+    cache: CharacteristicCache,
     workers: int = 1,
-) -> list[Any]:
-    """Run ``fn(payload, job)`` for every job; results come back in job order."""
+) -> tuple[list[Any], dict]:
+    """Run ``fn(payload, cache, job)`` for every job.
+
+    Returns the results in job order and the jobs' summed work,
+    ``{"matchings": m, "cache": {"hits": h, "misses": x}}``.
+    """
     if workers <= 1 or len(jobs) <= 1:
-        _init_worker(payload)
+        counted = [_counted(fn, payload, cache, job) for job in jobs]
+    else:
         try:
-            return [fn(payload, job) for job in jobs]
-        finally:
-            _init_worker(None)
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        ctx = mp.get_context()
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(jobs)),
-        mp_context=ctx,
-        initializer=_init_worker,
-        initargs=(payload,),
-    ) as pool:
-        return list(pool.map(_call, [(fn, job) for job in jobs]))
+            ctx = mp.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX fallback
+            ctx = mp.get_context()
+        with ProcessPoolExecutor(
+            max_workers=min(workers, len(jobs)),
+            mp_context=ctx,
+            initializer=_init_worker,
+            initargs=(payload, cache.max_entries),
+        ) as pool:
+            counted = list(pool.map(_call, [(fn, job) for job in jobs]))
+    m, h, x = (sum(c[i] for _, c in counted) for i in range(3))
+    work = {"matchings": m, "cache": {"hits": h, "misses": x}}
+    return [out for out, _ in counted], work

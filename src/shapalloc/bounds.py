@@ -74,10 +74,8 @@ def gray_subsets(items: list[int]):
         yield mask
 
 
-def _bounds_job(payload, job):
-    scenario, cache, max_neigh, side = payload
-    if cache is None:
-        cache = _pool.worker_cache()
+def _bounds_job(payload, cache, job):
+    scenario, max_neigh = payload
     i = job
     neigh_mask = scenario.graph.neighbor_masks[i]
     deg = neigh_mask.bit_count()
@@ -86,10 +84,7 @@ def _bounds_job(payload, job):
     solo = float(scenario.solo_value[i])
 
     if deg > max_neigh:
-        marg_grand = marginal_restricted(scenario, i, full & ~bit, cache)
-        lb = marg_grand if side in ("both", "lower") else None
-        ub = solo if side in ("both", "upper") else None
-        return i, lb, ub, True, cache.stats()
+        return i, marginal_restricted(scenario, i, full & ~bit, cache), solo, True
 
     n = scenario.n
     l = n - deg - 1
@@ -97,15 +92,12 @@ def _bounds_job(payload, job):
     neighbors = list(iter_bits(neigh_mask))
     y_by_size = [profile_weight(l, p, deg - p, n) for p in range(deg + 1)]
 
-    lb = 0.0 if side in ("both", "lower") else None
-    ub = 0.0 if side in ("both", "upper") else None
+    lb = ub = 0.0
     for p_mask in gray_subsets(neighbors):
         y = y_by_size[p_mask.bit_count()]
-        if ub is not None:
-            ub += y * marginal_restricted(scenario, i, p_mask, cache)
-        if lb is not None:
-            lb += y * marginal_restricted(scenario, i, rest | p_mask, cache)
-    return i, lb, ub, False, cache.stats()
+        ub += y * marginal_restricted(scenario, i, p_mask, cache)
+        lb += y * marginal_restricted(scenario, i, rest | p_mask, cache)
+    return i, lb, ub, False
 
 
 def shapley_bounds(
@@ -113,27 +105,26 @@ def shapley_bounds(
     cache: CharacteristicCache | None = None,
     agents: list[str] | None = None,
     max_neigh: int = DEFAULT_MAX_NEIGH,
-    side: str = "both",
     workers: int = 1,
 ) -> ShapleyReport:
     """Per-agent intervals [LB, UB] guaranteed to contain the Shapley value.
 
     Agents with more than ``max_neigh`` neighbors get the trivial interval
-    and are flagged ``fallback=True``.  ``side`` restricts the sweep to one
-    bound ("lower"/"upper") for timing comparisons; the skipped side is None.
+    and are flagged ``fallback=True``.
     """
-    if side not in ("both", "lower", "upper"):
-        raise ValueError(f"side must be both/lower/upper, got {side!r}")
     t0 = time.perf_counter()
+    if cache is None:
+        cache = CharacteristicCache()
     if agents is None:
         indices = list(range(scenario.n))
     else:
         indices = sorted(scenario.agent_index[a] for a in agents)
-    payload = (scenario, cache if workers <= 1 else None, max_neigh, side)
-    results = _pool.run_jobs(_bounds_job, indices, payload, workers=workers)
+    results, work = _pool.run_jobs(
+        _bounds_job, indices, (scenario, max_neigh), cache, workers=workers
+    )
     records = []
     fallbacks = 0
-    for i, lb, ub, fell_back, _ in results:
+    for i, lb, ub, fell_back in results:
         fallbacks += fell_back
         records.append(
             AgentResult(
@@ -148,9 +139,9 @@ def shapley_bounds(
     meta = {
         "method": "bounds",
         "max_neigh": max_neigh,
-        "side": side,
         "fallbacks": fallbacks,
         "workers": workers,
+        **work,
         "wall_time": time.perf_counter() - t0,
     }
     return ShapleyReport(agents=records, meta=meta)

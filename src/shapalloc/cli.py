@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import numbers
 import sys
 import time
 
@@ -112,7 +114,6 @@ def cmd_bounds(args) -> int:
         scn,
         agents=agents,
         max_neigh=args.max_neigh,
-        side=args.side,
         workers=args.threads,
     )
     _emit_report(report, args.out)
@@ -138,12 +139,18 @@ def _load_lower_bounds(path: str) -> dict[str, float]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "agents" in data:  # a bounds report
-        return {
-            a["agent"]: a["lb"] for a in data["agents"] if a.get("lb") is not None
-        }
-    if isinstance(data, dict):
-        return {str(k): float(v) for k, v in data.items()}
-    raise ScenarioError(f"{path}: expected a bounds report or an agent->bound map")
+        report = ShapleyReport.from_dict(data)
+        bounds = {r.agent: r.lb for r in report.agents if r.lb is not None}
+    elif isinstance(data, dict):
+        bounds = data
+    else:
+        raise ScenarioError(f"{path}: expected a bounds report or an agent->bound map")
+    for agent, lb in bounds.items():
+        if isinstance(lb, bool) or not isinstance(lb, numbers.Real) or not math.isfinite(lb):
+            raise ScenarioError(
+                f"{path}: lower bound of agent {agent!r} is not a finite number: {lb!r}"
+            )
+    return {str(a): float(lb) for a, lb in bounds.items()}
 
 
 def cmd_range_sample(args) -> int:
@@ -297,25 +304,16 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _point_value(rec: AgentResult) -> float:
-    if rec.value is not None:
-        return rec.value
-    if rec.lb is not None and rec.ub is not None:
-        return 0.5 * (rec.lb + rec.ub)
-    raise ValueError(f"agent {rec.agent!r} has no point value to compare")
-
-
 def compare_reports(a: ShapleyReport, b: ShapleyReport) -> dict:
     """Per-agent and aggregate relative errors of report A against report B."""
     by_a, by_b = a.by_agent(), b.by_agent()
     if set(by_a) != set(by_b):
         missing = set(by_a) ^ set(by_b)
         raise ValueError(f"reports cover different agents (mismatch: {sorted(missing)})")
+    agents = sorted(by_a)
     per_agent = {}
     errors = []
-    for agent in sorted(by_a):
-        va = _point_value(by_a[agent])
-        vb = _point_value(by_b[agent])
+    for agent, va, vb in zip(agents, a.values(agents), b.values(agents)):
         if vb != 0.0:
             err = abs(va - vb) / abs(vb)
         else:
@@ -397,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--agents", default=None, help="comma-separated agent ids (default all)")
     p.add_argument("--max-neigh", type=int, default=DEFAULT_MAX_NEIGH)
-    p.add_argument("--side", choices=["lower", "upper", "both"], default="both")
     add_threads(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_bounds)

@@ -47,11 +47,9 @@ def _weight_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w_member, w_outside
 
 
-def _exact_job(payload, job):
-    scenario, cache, w_member, w_outside = payload
+def _exact_job(payload, cache, job):
+    scenario, w_member, w_outside = payload
     lo, hi = job
-    if cache is None:
-        cache = _pool.worker_cache()
     n = scenario.n
     count = hi - lo
     v = np.empty(count, dtype=np.float64)
@@ -67,7 +65,7 @@ def _exact_job(payload, job):
         partial[i] = float(v[member] @ w_member[pc[member]]) - float(
             v[~member] @ w_outside[pc[~member]]
         )
-    return partial, cache.stats()
+    return partial
 
 
 def exact_shapley(
@@ -92,15 +90,18 @@ def exact_shapley(
     t0 = time.perf_counter()
     if n == 0:
         return ShapleyReport(agents=[], meta={"method": "exact", "n": 0})
+    if cache is None:
+        cache = CharacteristicCache()
     w_member, w_outside = _weight_arrays(n)
     total = 1 << n
     job_size = 1 << JOB_BITS
     jobs = [(lo, min(lo + job_size, total)) for lo in range(0, total, job_size)]
-    payload = (scenario, cache if workers <= 1 else None, w_member, w_outside)
-    results = _pool.run_jobs(_exact_job, jobs, payload, workers=workers)
+    results, work = _pool.run_jobs(
+        _exact_job, jobs, (scenario, w_member, w_outside), cache, workers=workers
+    )
 
     sv = np.zeros(n, dtype=np.float64)
-    for partial, _ in results:
+    for partial in results:
         sv = sv + partial
     grand = char_value(scenario, scenario.full_mask, cache)
     wall = time.perf_counter() - t0
@@ -115,6 +116,7 @@ def exact_shapley(
         "workers": workers,
         "grand_value": grand,
         "efficiency_gap": float(sv.sum() - grand),
+        **work,
         "wall_time": wall,
     }
     return ShapleyReport(agents=agents, meta=meta)

@@ -406,9 +406,6 @@ class CharacteristicCache:
     def __len__(self) -> int:
         return len(self.store)
 
-    def stats(self) -> dict:
-        return {"entries": len(self.store), "hits": self.hits, "misses": self.misses}
-
 
 # -- characteristic function ---------------------------------------------------
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _pool, matching
+from . import _pool
 from .model import (
     AllocationScenario,
     CharacteristicCache,
@@ -44,36 +43,28 @@ def _job_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _snapshot(cache: CharacteristicCache) -> dict[str, int]:
-    """Matchings run and cache lookups so far, for per-job deltas."""
-    return {"matchings": matching.solve_calls(), "hits": cache.hits, "misses": cache.misses}
-
-
-def _since(before: dict[str, int], cache: CharacteristicCache) -> dict[str, int]:
-    now = _snapshot(cache)
-    return {name: now[name] - before[name] for name in now}
-
-
-def _run_batched(job_fn, budgets, batch: int, payload, workers: int):
+def _run_batched(job_fn, budgets, batch: int, payload, cache, workers: int):
     """Run sampling jobs over per-key budgets split into batches.
 
     ``budgets`` pairs each key (a run, or an agent) with its sample count.
     Each job is ``(key, batch index, count)`` with at most ``batch`` samples
-    and returns ``(key, part, counts)``, where ``counts`` holds that job's
-    own counter deltas.  Parts are summed per key and counts over all jobs,
-    both in job order, so the merge is the same for any worker count.
+    and returns ``(key, part)``; the permutation sampler's jobs append their
+    shortcut hits.  Parts are summed per key and hits over all jobs, both in
+    job order, so the merge is the same for any worker count.  Returns the
+    parts, the hits and the runner's work counts.
     """
     jobs = [
         (key, b, min(batch, budget - start))
         for key, budget in budgets
         for b, start in enumerate(range(0, budget, batch))
     ]
+    results, work = _pool.run_jobs(job_fn, jobs, payload, cache, workers=workers)
     parts: dict = {}
-    counts: Counter[str] = Counter()
-    for key, part, job_counts in _pool.run_jobs(job_fn, jobs, payload, workers=workers):
+    hits = 0
+    for key, part, *job_hits in results:
         parts[key] = parts.get(key, 0.0) + part
-        counts.update(job_counts)
-    return parts, counts
+        hits += sum(job_hits)
+    return parts, hits, work
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +90,6 @@ class FprasConfig:
     shortcut: bool = True
     batch_perms: int = 512
     table_limit: int = 14
-    cache_max_entries: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -116,12 +106,9 @@ class FprasConfig:
         return max(1, math.ceil(self.contributions_per_run(n) / n))
 
 
-def _fpras_loop_job(payload, job):
-    scenario, cache, seed, shortcut, cap = payload
+def _fpras_loop_job(payload, cache, job):
+    scenario, seed, shortcut = payload
     run, batch_idx, count = job
-    if cache is None:
-        cache = _pool.worker_cache(cap)
-    before = _snapshot(cache)
     rng = _job_rng(seed, 0, run, batch_idx)
     n = scenario.n
     neigh = scenario.graph.neighbor_masks
@@ -143,10 +130,17 @@ def _fpras_loop_job(payload, job):
                 contrib = marginal_restricted(scenario, j, coalition, cache)
             sums[j] += contrib
             coalition |= bit
-    return run, sums, {"shortcut_hits": hits, **_since(before, cache)}
+    return run, sums, hits
 
 
-def _fpras_table_job(payload, job):
+def _worth_table_job(scenario, cache, n):
+    vtab = np.empty(1 << n, dtype=np.float64)
+    for m in range(1 << n):
+        vtab[m] = char_value(scenario, m, cache)
+    return vtab
+
+
+def _fpras_table_job(payload, cache, job):
     vtab, neigh_arr, solo_arr, n, seed = payload
     run, batch_idx, count = job
     rng = _job_rng(seed, 0, run, batch_idx)
@@ -159,7 +153,7 @@ def _fpras_table_job(payload, job):
     contrib = np.where(disconnected, solo_arr[perms], contrib)
     sums = np.zeros(n, dtype=np.float64)
     np.add.at(sums, perms.ravel(), contrib.ravel())
-    return run, sums, {"shortcut_hits": int(disconnected.sum())}
+    return run, sums, int(disconnected.sum())
 
 
 def fpras_shapley(
@@ -190,15 +184,12 @@ def fpras_shapley(
     m_target = cfg.contributions_per_run(n)
     use_table = n <= cfg.table_limit and perms_per_run * n >= (1 << n)
 
+    if cache is None:
+        cache = CharacteristicCache()
+
     budgets = [(run, perms_per_run) for run in range(cfg.runs)]
     if use_table:
-        if cache is None:
-            cache = CharacteristicCache()
-        before = _snapshot(cache)
-        vtab = np.empty(1 << n, dtype=np.float64)
-        for m in range(1 << n):
-            vtab[m] = char_value(scenario, m, cache)
-        built = _since(before, cache)
+        [vtab], work = _pool.run_jobs(_worth_table_job, [n], scenario, cache)
         payload = (
             vtab,
             np.asarray(scenario.graph.neighbor_masks, dtype=np.int64),
@@ -206,18 +197,13 @@ def fpras_shapley(
             n,
             cfg.seed,
         )
-        sums, counts = _run_batched(_fpras_table_job, budgets, cfg.batch_perms, payload, 1)
-        counts.update(built)
-    else:
-        payload = (
-            scenario,
-            cache if cfg.workers <= 1 else None,
-            cfg.seed,
-            cfg.shortcut,
-            cfg.cache_max_entries,
+        sums, shortcut_hits, _ = _run_batched(
+            _fpras_table_job, budgets, cfg.batch_perms, payload, cache, 1
         )
-        sums, counts = _run_batched(
-            _fpras_loop_job, budgets, cfg.batch_perms, payload, cfg.workers
+    else:
+        payload = (scenario, cfg.seed, cfg.shortcut)
+        sums, shortcut_hits, work = _run_batched(
+            _fpras_loop_job, budgets, cfg.batch_perms, payload, cache, cfg.workers
         )
     run_sums = np.vstack([sums[run] for run in range(cfg.runs)])
 
@@ -253,12 +239,11 @@ def fpras_shapley(
         "contributions_target_per_run": m_target,
         "contributions_per_run": perms_per_run * n,
         "permutations_per_run": perms_per_run,
-        "shortcut_hits": counts["shortcut_hits"],
-        "shortcut_fraction": counts["shortcut_hits"] / (perms_per_run * n * cfg.runs),
+        "shortcut_hits": shortcut_hits,
+        "shortcut_fraction": shortcut_hits / (perms_per_run * n * cfg.runs),
         "scale_factor": scale,
         "grand_value": grand,
-        "matchings": counts["matchings"],
-        "cache": {"hits": counts["hits"], "misses": counts["misses"]},
+        **work,
         "wall_time": time.perf_counter() - t0,
     }
     return ShapleyReport(agents=agents, meta=meta)
@@ -323,7 +308,6 @@ class RangeSamplerConfig:
     batch_size: int = 512
     seed: int = 0
     workers: int = 1
-    cache_max_entries: int | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
@@ -334,12 +318,9 @@ class RangeSamplerConfig:
             raise ValueError(f"mode must be 'abs' or 'rel', got {self.mode!r}")
 
 
-def _range_job(payload, job):
-    scenario, cache, seed, cap = payload
+def _range_job(payload, cache, job):
+    scenario, seed = payload
     i, batch_idx, count = job
-    if cache is None:
-        cache = _pool.worker_cache(cap)
-    before = _snapshot(cache)
     rng = _job_rng(seed, 1, i, batch_idx)
     n = scenario.n
     others = np.delete(np.arange(n, dtype=np.intp), i)
@@ -356,7 +337,7 @@ def _range_job(payload, job):
             members[subsets[t, :size]] = True
             mask = mask_from_bool(members)
         total += marginal_restricted(scenario, i, mask, cache)
-    return i, total, _since(before, cache)
+    return i, total
 
 
 def range_sampler_shapley(
@@ -379,7 +360,7 @@ def range_sampler_shapley(
     if n == 0:
         return ShapleyReport(agents=[], meta={"method": "range-sample", "n": 0})
     if cache is None:
-        cache = CharacteristicCache(cfg.cache_max_entries)
+        cache = CharacteristicCache()
     ranges = compute_ranges(scenario, cache)
     delta_i = cfg.delta / n
 
@@ -407,8 +388,9 @@ def range_sampler_shapley(
     }
 
     budgets = [(i, needed[a]) for i, a in enumerate(scenario.agents)]
-    payload = (scenario, cache if cfg.workers <= 1 else None, cfg.seed, cfg.cache_max_entries)
-    totals, counts = _run_batched(_range_job, budgets, cfg.batch_size, payload, cfg.workers)
+    totals, _, work = _run_batched(
+        _range_job, budgets, cfg.batch_size, (scenario, cfg.seed), cache, cfg.workers
+    )
 
     agents = []
     for i, a in enumerate(scenario.agents):
@@ -434,9 +416,8 @@ def range_sampler_shapley(
         "seed": cfg.seed,
         "workers": cfg.workers,
         "total_samples": int(sum(needed.values())),
-        "matchings": counts["matchings"],
         "ranges": {a: r.width for a, r in ranges.items()},
-        "cache": {"hits": counts["hits"], "misses": counts["misses"]},
+        **work,
         "wall_time": time.perf_counter() - t0,
     }
     return ShapleyReport(agents=agents, meta=meta)

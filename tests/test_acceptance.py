@@ -271,7 +271,7 @@ def test_criterion_8_large_market_surrogate():
         cache,
         cfg=sa.RangeSamplerConfig(
             epsilon=eps, delta=delta, mode="rel", lower_bounds=lbs,
-            seed=42, workers=2, cache_max_entries=400_000,
+            seed=42, workers=2,
         ),
     )
     t_samp = time.perf_counter() - t2

@@ -136,18 +136,6 @@ class TestShapleyBounds:
             assert rec.lb == pytest.approx(marg, rel=1e-12, abs=1e-12)
             assert rec.ub == pytest.approx(float(scn.solo_value[i]), rel=1e-12)
 
-    def test_side_selection(self):
-        scn = random_scenario(330, n=8)
-        both = sa.shapley_bounds(scn, side="both")
-        lower = sa.shapley_bounds(scn, side="lower")
-        upper = sa.shapley_bounds(scn, side="upper")
-        for rec_b, rec_l, rec_u in zip(both.agents, lower.agents, upper.agents):
-            assert rec_l.ub is None and rec_u.lb is None
-            assert rec_l.lb == rec_b.lb
-            assert rec_u.ub == rec_b.ub
-        with pytest.raises(ValueError):
-            sa.shapley_bounds(scn, side="middle")
-
     def test_agent_filter(self):
         scn = random_scenario(340, n=8)
         chosen = [scn.agents[0], scn.agents[3]]

@@ -79,7 +79,7 @@ def test_exact_limit_flag(ref_file, tmp_path):
 
 def test_bounds_subcommand(ref_file, tmp_path):
     out = tmp_path / "bounds.json"
-    assert run_cli("bounds", "--scenario", ref_file, "--side", "both",
+    assert run_cli("bounds", "--scenario", ref_file,
                    "--threads", "1", "--out", str(out)) == 0
     rep = sa.ShapleyReport.load(str(out))
     got = {r.agent: (r.lb, r.ub) for r in rep.agents}
@@ -127,6 +127,20 @@ def test_range_sample_flat_lb_map(ref_file, tmp_path):
     assert run_cli("range-sample", "--scenario", ref_file, "--epsilon", "0.1",
                    "--delta", "0.05", "--mode", "rel", "--lb-file", str(lb_path),
                    "--seed", "2", "--threads", "1", "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("body", [
+    {"agents": [{"lb": 1.0}]},
+    {"agents": [1, 2]},
+    {"a1": None},
+], ids=["record_without_agent", "record_not_an_object", "null_bound"])
+def test_range_sample_malformed_lb_file_fails_cleanly(ref_file, tmp_path, capsys, body):
+    lb_path = tmp_path / "lbs.json"
+    lb_path.write_text(json.dumps(body))
+    assert run_cli("range-sample", "--scenario", ref_file, "--epsilon", "0.1",
+                   "--delta", "0.05", "--mode", "rel", "--lb-file", str(lb_path),
+                   "--threads", "1") == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_solve_routes_small_component_exactly(ref_file, tmp_path):
@@ -243,3 +257,12 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "shapalloc" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, shapalloc; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

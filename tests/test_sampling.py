@@ -220,12 +220,18 @@ class TestFpras:
         assert rep.agents == []
 
 
-@pytest.mark.parametrize("sampler", ["range", "fpras"])
-def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, sampler):
+@pytest.mark.parametrize("solver", ["range", "fpras", "exact", "bounds"])
+def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
     scn = random_scenario(480, n=10)
+    # several exact jobs, so that two workers share them out
+    monkeypatch.setattr("shapalloc.exact.JOB_BITS", 8)
 
     def run(workers, cache=None):
-        if sampler == "range":
+        if solver == "exact":
+            return sa.exact_shapley(scn, cache, workers=workers)
+        if solver == "bounds":
+            return sa.shapley_bounds(scn, cache, workers=workers)
+        if solver == "range":
             cfg = sa.RangeSamplerConfig(epsilon=0.3, delta=0.1, seed=4, batch_size=16,
                                         workers=workers)
             return sa.range_sampler_shapley(scn, cache, cfg=cfg)
@@ -239,9 +245,9 @@ def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, sampler):
     seen = []
     run_jobs = _pool.run_jobs
 
-    def spy(fn, jobs, payload, workers=1):
+    def spy(fn, jobs, payload, job_cache, workers=1):
         before = cache.hits + cache.misses
-        out = run_jobs(fn, jobs, payload, workers=workers)
+        out = run_jobs(fn, jobs, payload, job_cache, workers=workers)
         seen.append(cache.hits + cache.misses - before)
         return out
 
