@@ -15,6 +15,10 @@ Goods with value zero are never taken.  Goods are taken in one fixed order
 the sum of its kept goods in ascending good index, so it is a deterministic
 function of the scenario and the coalition.  Every solver in the package
 funnels through this kernel.
+
+``add_agent`` extends an optimal allocation by one agent with at most ``k``
+augmenting searches; ``marginal_gain`` and the permutation sampler's walk
+are built on it.
 """
 
 from __future__ import annotations
@@ -38,8 +42,11 @@ def solve_calls() -> int:
     return _SOLVE_CALLS
 
 
-def _greedy(scenario: "AllocationScenario", coalition: Coalition) -> dict[int, int]:
-    """Holder of every good in an optimal allocation for the coalition."""
+def _greedy(
+    scenario: "AllocationScenario", coalition: Coalition
+) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """An optimal allocation for the coalition: each held good's holder, and
+    each member's goods."""
     global _SOLVE_CALLS
     _SOLVE_CALLS += 1
     k = scenario.k
@@ -92,7 +99,7 @@ def _greedy(scenario: "AllocationScenario", coalition: Coalition) -> dict[int, i
             step = parent[b]
         held[b].append(g)
         holder[g] = b
-    return holder
+    return holder, held
 
 
 def _value(scenario: "AllocationScenario", holder: dict[int, int]) -> float:
@@ -113,7 +120,7 @@ def optimal_value_only(scenario: "AllocationScenario", coalition: Coalition) -> 
         return 0.0
     if coalition & (coalition - 1) == 0:
         return float(scenario.solo_value[coalition.bit_length() - 1])
-    return _value(scenario, _greedy(scenario, coalition))
+    return _value(scenario, _greedy(scenario, coalition)[0])
 
 
 @dataclass
@@ -147,79 +154,92 @@ class Allocation:
                 seen.add(g)
 
 
-def marginal_gain(scenario: "AllocationScenario", coalition: Coalition, i: int) -> float:
-    """opt(coalition + i) - opt(coalition), without valuing either side.
+def add_agent(
+    scenario: "AllocationScenario",
+    holder: dict[int, int],
+    held: dict[int, list[int]],
+    i: int,
+) -> float:
+    """Add agent ``i`` to an optimal allocation in place; return the gain.
 
-    One optimal allocation of ``coalition`` is computed; agent ``i`` is then
-    added one capacity unit at a time.  Adding a unit changes the optimal
-    matching by a single alternating path from ``i``, whose net gain is the
-    value of the free good at its far end (displaced holders keep their
-    goods' values in the system), so each augmentation reduces to a
-    reachability search over displacement moves and the best gain is the
+    ``holder`` maps each held good to its holder and ``held`` each member to
+    its goods.  On entry they describe an optimal allocation for a coalition
+    without ``i``; on return, one for the coalition with ``i``.
+
+    Agent ``i`` is added one capacity unit at a time.  Adding a unit changes
+    the optimal allocation by a single alternating path from ``i``, whose
+    net gain is the value of the free good at its far end (displaced holders
+    keep their goods' values in the system), so each augmentation reduces to
+    a reachability search over displacement moves and the best gain is the
     most valuable reachable free good.  Gains are non-increasing, so the
-    greedy sum over at most k units is exact.
-
-    Much cheaper than two full matchings when the coalition is large and
-    ``i`` touches little of it.
+    greedy sum over at most k units is exact (Edmonds 1971).
     """
-    if coalition & (1 << i):
-        raise ScenarioError(f"agent index {i} already belongs to the coalition")
-    own = scenario.positive_goods(i)
-    capacity = min(scenario.k, len(own))
-    if capacity == 0:
-        return 0.0
-    held_by = _greedy(scenario, coalition)
-    held: dict[int, set[int]] = {}
-    for good, agent in held_by.items():
-        held.setdefault(agent, set()).add(good)
-    values = scenario.good_values
-    interest = scenario.positive_goods
-    ceiling = float(values.max()) if len(values) else 0.0
+    positive, values = scenario.positive_interest, scenario.good_value_list
+    own = positive[i]
+    mine = held[i] = []
     total = 0.0
-    held.setdefault(i, set())
-    for _ in range(capacity):
-        # reachability over displacement moves, tracking the chain
+    if not own:
+        return total
+    # No unit gains more than the best good ``i`` wants (else the displaced
+    # holders could have shifted without ``i``) or than the unit before it,
+    # so a search may stop at the first free good worth ``ceiling``: it is
+    # the first maximum in breadth-first order either way.
+    ceiling = values[scenario.solo_goods(i)[0]]
+    for _ in range(min(scenario.k, len(own))):
         best_good = -1
         best_val = 0.0
-        parent: dict[int, int] = {}
-        seen: set[int] = set()
-        frontier = [int(g) for g in own if g not in held[i]]
-        for g in frontier:
-            parent[g] = -1
-        while frontier and best_val < ceiling:
-            nxt: list[int] = []
-            for g in frontier:
-                if g in seen:
-                    continue
-                seen.add(g)
-                holder = held_by.get(g)
-                if holder is None:
-                    if values[g] > best_val:
-                        best_val = float(values[g])
-                        best_good = g
-                    continue
-                for g2 in interest(holder):
-                    g2 = int(g2)
-                    if g2 in seen or g2 in parent or g2 in held[holder]:
-                        continue
+        # breadth-first over displacement moves; every good queued is a key
+        # of ``parent``, so each is visited once
+        parent = {g: -1 for g in own if g not in mine}
+        queue = list(parent)
+        for g in queue:
+            h = holder.get(g)
+            if h is None:
+                if values[g] > best_val:
+                    best_val = values[g]
+                    best_good = g
+                    if best_val >= ceiling:
+                        break
+                continue
+            theirs = held[h]
+            for g2 in positive[h]:
+                if g2 not in parent and g2 not in theirs:
                     parent[g2] = g
-                    nxt.append(g2)
-            frontier = nxt
+                    queue.append(g2)
         if best_good < 0:
             break
         total += best_val
+        ceiling = best_val
         # apply the chain: walk back to a good wanted by i, shifting holders
         g = best_good
-        while parent[g] != -1:
-            prev = parent[g]
-            holder = held_by[prev]
-            held[holder].discard(prev)
-            held[holder].add(g)
-            held_by[g] = holder
+        prev = parent[g]
+        while prev != -1:
+            h = holder[prev]
+            theirs = held[h]
+            theirs.remove(prev)
+            theirs.append(g)
+            holder[g] = h
             g = prev
-        held_by[g] = i
-        held[i].add(g)
+            prev = parent[g]
+        holder[g] = i
+        mine.append(g)
     return total
+
+
+def marginal_gain(scenario: "AllocationScenario", coalition: Coalition, i: int) -> float:
+    """opt(coalition + i) - opt(coalition), without valuing either side.
+
+    One optimal allocation of ``coalition`` comes from the greedy, and
+    ``add_agent`` adds ``i`` to it by at most k augmentations.  Much cheaper
+    than two full matchings when the coalition is large and ``i`` touches
+    little of it.
+    """
+    if coalition & (1 << i):
+        raise ScenarioError(f"agent index {i} already belongs to the coalition")
+    if not scenario.positive_goods(i):
+        return 0.0
+    holder, held = _greedy(scenario, coalition)
+    return add_agent(scenario, holder, held, i)
 
 
 def optimal_allocation(
@@ -232,10 +252,10 @@ def optimal_allocation(
     if coalition & (coalition - 1) == 0:
         i = coalition.bit_length() - 1
         for j in scenario.solo_goods(i):
-            assignment[scenario.agents[i]].add(scenario.good_ids[int(j)])
+            assignment[scenario.agents[i]].add(scenario.good_ids[j])
         value = float(scenario.solo_value[i])
     else:
-        holder = _greedy(scenario, coalition)
+        holder, _ = _greedy(scenario, coalition)
         for g, a in holder.items():
             assignment[scenario.agents[a]].add(scenario.good_ids[g])
         value = _value(scenario, holder)

@@ -53,7 +53,10 @@ class AllocationScenario:
         self.good_ids = tuple(str(g) for g, _ in goods)
         if len(set(self.good_ids)) != len(self.good_ids):
             raise ScenarioError("duplicate good ids")
-        self.good_values = np.asarray([float(v) for _, v in goods], dtype=np.float64)
+        # the same values as Python floats: the augmenting searches index
+        # them once per good visited, where numpy scalars cost more
+        self.good_value_list = [float(v) for _, v in goods]
+        self.good_values = np.asarray(self.good_value_list, dtype=np.float64)
         finite = np.isfinite(self.good_values)
         if not finite.all():
             j = int(np.argmin(finite))
@@ -76,18 +79,16 @@ class AllocationScenario:
         )
 
         # Positive-value goods drive both matching and the agents graph.
-        self._pos_interest: list[np.ndarray] = []
-        for row in self.interest:
-            pos = np.asarray(
-                [j for j in row if self.good_values[j] > 0.0], dtype=np.intp
-            )
-            self._pos_interest.append(pos)
+        values = self.good_value_list
+        self.positive_interest: tuple[tuple[int, ...], ...] = tuple(
+            tuple(j for j in row if values[j] > 0.0) for row in self.interest
+        )
         # Agents interested in each positive-value good, ascending (empty for
         # zero-value goods), and each good's position in the order the
         # matching greedy takes goods: value descending, ties by good index.
         claimers: list[list[int]] = [[] for _ in self.good_ids]
-        for i, pos in enumerate(self._pos_interest):
-            for j in pos.tolist():
+        for i, pos in enumerate(self.positive_interest):
+            for j in pos:
                 claimers[j].append(i)
         self.good_claimers: tuple[tuple[int, ...], ...] = tuple(map(tuple, claimers))
         n_goods = len(self.good_ids)
@@ -99,15 +100,12 @@ class AllocationScenario:
         # Best goods an agent can get alone: its first `k` goods in the
         # greedy's order.  This is the canonical singleton worth used by
         # every solver, so the float is computed once here.
-        self._solo_goods: list[np.ndarray] = []
+        self._solo_goods: list[tuple[int, ...]] = []
         solo = np.zeros(len(self.agents), dtype=np.float64)
-        for i, pos in enumerate(self._pos_interest):
-            chosen = np.asarray(
-                sorted(pos.tolist(), key=self.good_rank.__getitem__)[: self.k],
-                dtype=np.intp,
-            )
-            self._solo_goods.append(chosen)
-            if len(chosen):
+        for i, pos in enumerate(self.positive_interest):
+            chosen = sorted(pos, key=self.good_rank.__getitem__)[: self.k]
+            self._solo_goods.append(tuple(chosen))
+            if chosen:
                 solo[i] = float(np.sum(self.good_values[chosen]))
         self.solo_value = solo
 
@@ -136,11 +134,11 @@ class AllocationScenario:
     def full_mask(self) -> Coalition:
         return (1 << self.n) - 1
 
-    def positive_goods(self, i: int) -> np.ndarray:
+    def positive_goods(self, i: int) -> tuple[int, ...]:
         """Indices of positive-value goods agent ``i`` is interested in."""
-        return self._pos_interest[i]
+        return self.positive_interest[i]
 
-    def solo_goods(self, i: int) -> np.ndarray:
+    def solo_goods(self, i: int) -> tuple[int, ...]:
         """Goods an agent alone would take (top ``k`` by value)."""
         return self._solo_goods[i]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Iterable
 
@@ -70,7 +71,7 @@ class ShapleyReport:
         if not isinstance(data, dict):
             raise ScenarioError("malformed report: expected a JSON object")
         try:
-            agents = [AgentResult(**a) for a in data.get("agents", [])]
+            agents = [AgentResult(**_checked(a)) for a in data.get("agents", [])]
         except TypeError as exc:
             raise ScenarioError(f"malformed report record: {exc}") from exc
         return cls(agents=agents, meta=data.get("meta", {}))
@@ -84,6 +85,37 @@ class ShapleyReport:
     def load(cls, path: str) -> "ShapleyReport":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _checked(record):
+    """The record, once each field it holds has the JSON type its value needs.
+
+    A record that is not an object is left for ``AgentResult`` to reject.
+    """
+    if not isinstance(record, dict):
+        return record
+
+    def bad(key: str, want: str):
+        return ScenarioError(
+            f"malformed report record: {key!r} must be {want}, got {record[key]!r}"
+        )
+
+    for key in ("agent", "kind", "method"):
+        if key in record and not isinstance(record[key], str):
+            raise bad(key, "a string")
+    for key in ("value", "lb", "ub", "epsilon", "delta"):
+        v = record.get(key)
+        if v is not None and (
+            isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+        ):
+            raise bad(key, "a finite number or null")
+    v = record.get("samples")
+    if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+        raise bad("samples", "an integer or null")
+    v = record.get("fallback")
+    if v is not None and not isinstance(v, bool):
+        raise bad("fallback", "a boolean or null")
+    return record
 
 
 def merge_reports(parts: Iterable[ShapleyReport], meta: dict | None = None) -> ShapleyReport:

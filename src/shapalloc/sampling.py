@@ -3,11 +3,13 @@
 Two samplers with different guarantees:
 
 * ``fpras_shapley`` draws uniformly random agent permutations and averages
-  each agent's marginal contribution to its predecessors, with a
-  disconnected-agent fast path (an agent whose neighbors all come later
-  contributes exactly its solo optimum, no matching needed).  Estimates from
-  independent runs are combined by a per-agent median and finally scaled so
-  the total matches the grand-coalition worth.
+  each agent's marginal contribution to its predecessors.  Small components
+  read the marginals off a precomputed worth table; larger ones walk each
+  permutation carrying an optimal allocation of the prefix, so a step costs
+  at most k augmenting searches and an agent whose neighbors all come later
+  just takes its solo goods.  Estimates from independent runs are combined
+  by a per-agent median and finally scaled so the total matches the
+  grand-coalition worth.
 
 * ``range_sampler_shapley`` fixes, per agent, the number of samples needed by
   Hoeffding's inequality given the spread r_i = opt({i}) - marg(i, N) of its
@@ -25,10 +27,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from . import _pool
+from . import _pool, matching
 from .model import (
     AllocationScenario,
     CharacteristicCache,
@@ -106,31 +109,53 @@ class FprasConfig:
         return max(1, math.ceil(self.contributions_per_run(n) / n))
 
 
+def permutation_walk(
+    scenario: AllocationScenario,
+    perm: list[int],
+    shortcut: bool,
+    holder: dict[int, int],
+    held: dict[int, list[int]],
+) -> Iterator[tuple[int, float, bool]]:
+    """Walk one permutation, carrying the prefix's optimal allocation.
+
+    ``holder`` and ``held`` start empty and are updated in place (see
+    ``matching.add_agent``), so after each step they describe an optimal
+    allocation for the prefix that ends with the agent just added.  Yields
+    ``(agent, contribution, disconnected)`` per step, where ``disconnected``
+    says no earlier agent is a neighbor.  Such an agent takes its solo goods
+    and contributes its solo value when ``shortcut`` is set; every other
+    step runs at most k augmenting searches.
+    """
+    neigh = scenario.graph.neighbor_masks
+    solo_value = scenario.solo_value
+    solo_goods = scenario.solo_goods
+    prefix = 0
+    for j in perm:
+        alone = neigh[j] & prefix == 0
+        if alone and shortcut:
+            contrib = float(solo_value[j])
+            held[j] = list(solo_goods(j))
+            for g in solo_goods(j):
+                holder[g] = j
+        else:
+            contrib = matching.add_agent(scenario, holder, held, j)
+        prefix |= 1 << j
+        yield j, contrib, alone
+
+
 def _fpras_loop_job(payload, cache, job):
     scenario, seed, shortcut = payload
     run, batch_idx, count = job
     rng = _job_rng(seed, 0, run, batch_idx)
     n = scenario.n
-    neigh = scenario.graph.neighbor_masks
-    solo = scenario.solo_value
-    sums = np.zeros(n, dtype=np.float64)
+    sums = [0.0] * n
     hits = 0
     for _ in range(count):
         perm = rng.permutation(n).tolist()
-        coalition = 0
-        for j in perm:
-            bit = 1 << j
-            if neigh[j] & coalition == 0:
-                hits += 1
-                if shortcut:
-                    contrib = float(solo[j])
-                else:
-                    contrib = marginal_restricted(scenario, j, coalition, cache)
-            else:
-                contrib = marginal_restricted(scenario, j, coalition, cache)
+        for j, contrib, alone in permutation_walk(scenario, perm, shortcut, {}, {}):
             sums[j] += contrib
-            coalition |= bit
-    return run, sums, hits
+            hits += alone
+    return run, np.asarray(sums), hits
 
 
 def _worth_table_job(scenario, cache, n):
@@ -166,13 +191,16 @@ def fpras_shapley(
 
     Intended for a single connected (post-preprocessing) component.  For
     small components the full worth table is precomputed and the walk is
-    vectorized; larger components evaluate each marginal on the joining
-    agent's connected component inside the prefix coalition, which is exact
-    and avoids matching over agents that cannot interact with it.
+    vectorized; larger components walk each permutation with
+    ``permutation_walk``, which keeps an optimal allocation of the prefix
+    and adds each agent to it by at most k augmentations.  That walk runs no
+    matching and looks nothing up, so its ``meta`` reports ``matchings`` 0
+    and a cache with no hits or misses.
 
     The ``shortcut`` flag only controls whether disconnected steps skip the
-    evaluation machinery; contributed values are identical either way, and
-    the number of steps served by the fast path is reported regardless.
+    evaluation machinery (the worth table, or the augmenting searches);
+    contributed values are identical either way, and the number of steps
+    served by the fast path is reported regardless.
     """
     if cfg is None:
         cfg = FprasConfig(**kwargs)

@@ -238,6 +238,33 @@ def test_compare_malformed_report_fails_cleanly(ref_file, tmp_path, capsys):
         assert "error:" in capsys.readouterr().err, name
 
 
+def test_compare_non_numeric_field_fails_cleanly(ref_file, tmp_path, capsys):
+    rep_path = tmp_path / "rep.json"
+    run_cli("exact", "--scenario", ref_file, "--threads", "1", "--out", str(rep_path))
+    record = load(rep_path)["agents"][0]
+    bad_fields = {
+        "value_string": {"value": "abc"},
+        "lb_list": {"lb": [1.0]},
+        "epsilon_bool": {"epsilon": True},
+        "delta_object": {"delta": {"p": 0.1}},
+        "samples_float": {"samples": 2.5},
+        "samples_bool": {"samples": False},
+        "fallback_number": {"fallback": 1},
+        "agent_number": {"agent": 7},
+    }
+    for name, fields in bad_fields.items():
+        bad_path = tmp_path / f"{name}.json"
+        bad_path.write_text(json.dumps({"agents": [{**record, **fields}]}))
+        assert run_cli("compare", "--report-a", str(rep_path),
+                       "--report-b", str(bad_path)) == 2, name
+        assert "error:" in capsys.readouterr().err, name
+    # JSON's non-finite number tokens are no numbers either
+    bad_path = tmp_path / "value_nan.json"
+    bad_path.write_text(json.dumps({"agents": [{**record, "value": float("nan")}]}))
+    assert run_cli("compare", "--report-a", str(rep_path), "--report-b", str(bad_path)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_file_reports_error(tmp_path, capsys):
     assert run_cli("exact", "--scenario", str(tmp_path / "nope.json")) == 2
     assert "error:" in capsys.readouterr().err

@@ -187,9 +187,7 @@ class TestAgentsGraph:
             for j in range(3):
                 if i == j:
                     continue
-                shared = set(scn.positive_goods(i).tolist()) & set(
-                    scn.positive_goods(j).tolist()
-                )
+                shared = set(scn.positive_goods(i)) & set(scn.positive_goods(j))
                 assert bool(graph.neighbor_masks[i] >> j & 1) == bool(shared)
 
     def test_random_adjacency_matches_intersection(self):
@@ -200,9 +198,7 @@ class TestAgentsGraph:
                 if i == j:
                     assert not graph.neighbor_masks[i] >> i & 1
                     continue
-                shared = set(scn.positive_goods(i).tolist()) & set(
-                    scn.positive_goods(j).tolist()
-                )
+                shared = set(scn.positive_goods(i)) & set(scn.positive_goods(j))
                 assert bool(graph.neighbor_masks[i] >> j & 1) == bool(shared)
 
     def test_symmetry(self):

@@ -5,9 +5,11 @@ import pytest
 
 import shapalloc as sa
 from shapalloc import _pool
+from shapalloc.matching import Allocation
+from shapalloc.sampling import permutation_walk
 
 from conftest import exact_values, random_scenario
-from oracles import prefix_law_expectation
+from oracles import brute_force_opt, prefix_law_expectation
 
 
 class TestComputeRanges:
@@ -220,6 +222,35 @@ class TestFpras:
         assert rep.agents == []
 
 
+def test_permutation_walk_carries_the_prefix_optimum():
+    # goods valued in quarters, so ties are common and a prefix has several
+    # optimal allocations
+    rng = np.random.default_rng(3)
+    for seed in range(200):
+        n, k = 5 + seed % 4, 1 + seed % 3
+        scn = sa.generate(agents=n, goods_per_agent=1.4, coauthor_prob=0.5,
+                          value_set=(0.0, 0.25, 0.5, 0.75, 1.0), k=k, seed=600 + seed)
+        optimum = {}
+        for _ in range(2):
+            perm = rng.permutation(n).tolist()
+            for shortcut in (True, False):
+                holder, held = {}, {}
+                prefix = 0
+                for j, contrib, alone in permutation_walk(scn, perm, shortcut, holder, held):
+                    want = sa.char_value(scn, prefix | 1 << j) - sa.char_value(scn, prefix)
+                    assert contrib == pytest.approx(want, rel=1e-12, abs=1e-12), (seed, prefix, j)
+                    assert alone == (scn.graph.neighbor_masks[j] & prefix == 0)
+                    prefix |= 1 << j
+                    assert holder == {g: a for a, goods in held.items() for g in goods}
+                    alloc = Allocation({scn.agents[a]: frozenset(scn.good_ids[g] for g in goods)
+                                        for a, goods in held.items()})
+                    alloc.validate(scn, prefix)
+                    if prefix not in optimum:
+                        optimum[prefix] = (brute_force_opt(scn, prefix) if n <= 7
+                                           else sa.optimal_value_only(scn, prefix))
+                    assert alloc.value(scn) == pytest.approx(optimum[prefix], rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("solver", ["range", "fpras", "exact", "bounds"])
 def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
     scn = random_scenario(480, n=10)
@@ -235,8 +266,8 @@ def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
             cfg = sa.RangeSamplerConfig(epsilon=0.3, delta=0.1, seed=4, batch_size=16,
                                         workers=workers)
             return sa.range_sampler_shapley(scn, cache, cfg=cfg)
-        cfg = sa.FprasConfig(epsilon=0.6, delta=0.3, seed=4, table_limit=4, batch_perms=8,
-                             workers=workers)
+        # table mode: the loop walk carries its allocation and looks nothing up
+        cfg = sa.FprasConfig(epsilon=0.4, delta=0.3, seed=4, batch_perms=8, workers=workers)
         return sa.fpras_shapley(scn, cache, cfg=cfg)
 
     two = run(2).meta["cache"]
@@ -253,6 +284,14 @@ def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
 
     monkeypatch.setattr(_pool, "run_jobs", spy)
     one = run(1, cache).meta["cache"]
+    lookups = one["hits"] + one["misses"]
     assert seen[0] > 0
-    assert seen == [one["hits"] + one["misses"]]
-    assert one["hits"] + one["misses"] == two["hits"] + two["misses"]
+    # the permutation sampler builds its worth table, then walks it
+    assert seen == ([lookups, 0] if solver == "fpras" else [lookups])
+    assert lookups == two["hits"] + two["misses"]
+    if solver == "fpras":
+        cfg = sa.FprasConfig(epsilon=0.6, delta=0.3, seed=4, table_limit=4, batch_perms=8)
+        loop = sa.fpras_shapley(scn, sa.CharacteristicCache(), cfg=cfg).meta
+        assert loop["mode"] == "loop"
+        assert loop["cache"] == {"hits": 0, "misses": 0}
+        assert loop["matchings"] == 0
