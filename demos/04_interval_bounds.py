@@ -37,5 +37,6 @@ for rec in intervals.agents:
 n = len(intervals.agents)
 print(f"\nbounds coincide for {collapsed}/{n} agents "
       f"({collapsed / n:.0%}) on this sparse instance")
-print("cost per agent is two matchings per subset of its neighborhood,")
-print("so low-degree agents are cheap no matter how large the game is.")
+print("cost per agent is two marginals per subset of its neighborhood, each one")
+print("greedy plus at most k augmentations on the agent's component, so")
+print("low-degree agents are cheap no matter how large the game is.")

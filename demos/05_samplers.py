@@ -26,7 +26,7 @@ fpras = sa.fpras_shapley(comp, cache, epsilon=0.3, delta=0.05, seed=1)
 print(f"\npermutation sampler: {fpras.meta['contributions_per_run']} contributions/run, "
       f"{fpras.meta['runs']} runs, shortcut served {fpras.meta['shortcut_fraction']:.0%}")
 
-ranges = sa.compute_ranges(comp, cache)
+ranges = sa.compute_ranges(comp)
 rng = sa.range_sampler_shapley(comp, cache, epsilon=0.1, delta=0.05, seed=1)
 print(f"range sampler: {rng.meta['total_samples']} samples total; "
       f"{sum(1 for r in ranges.values() if r.width == 0.0)} agents needed none")

@@ -4,9 +4,9 @@ Heavy solvers split work into an ordered list of self-describing jobs, and
 ``run_jobs`` is the one place that decides where a job's characteristic
 cache lives and that counts the job's work.  In process, every job uses the
 caller's cache.  In a pool, each worker receives the shared payload once,
-via the pool initializer, together with a private cache of the caller's
-cache's capacity that lives as long as the pool.  Caches never change a
-value, so per-worker caches cannot change a result; only the hit count does.
+via the pool initializer, together with a private cache that lives as long
+as the pool.  Caches never change a value, so per-worker caches cannot
+change a result; only the hit count does.
 
 Each job is wrapped with the deltas of ``matching.solve_calls()`` and of its
 cache's hits and misses, and the runner returns their sums next to the
@@ -30,10 +30,10 @@ _PAYLOAD: Any = None
 _CACHE: CharacteristicCache | None = None
 
 
-def _init_worker(payload, max_entries):
+def _init_worker(payload):
     global _PAYLOAD, _CACHE
     _PAYLOAD = payload
-    _CACHE = CharacteristicCache(max_entries)
+    _CACHE = CharacteristicCache()
 
 
 def _counted(fn, payload, cache: CharacteristicCache, job):
@@ -81,7 +81,7 @@ def run_jobs(
             max_workers=min(workers, len(jobs)),
             mp_context=ctx,
             initializer=_init_worker,
-            initargs=(payload, cache.max_entries),
+            initargs=(payload,),
         ) as pool:
             counted = list(pool.map(_call, [(fn, job) for job in jobs]))
     m, h, x = (sum(c[i] for _, c in counted) for i in range(3))

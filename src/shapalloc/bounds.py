@@ -5,9 +5,11 @@ coalitions C' not containing i are grouped by their profile P' = C' & neigh(i).
 For each profile the marginal of i is evaluated at the two extremes of the
 class -- with all non-neighbors present (lower bound, by anti-monotonicity)
 or with only P' present (upper bound) -- and weighted by the total Shapley
-mass y of the class.  Cost is two matchings per subset of neigh(i), so the
-sweep is reserved for agents with at most ``max_neigh`` neighbors; the rest
-fall back on the always-valid interval [marg(i, N), opt({i})].
+mass y of the class.  Each marginal is ``marginal_restricted``: one greedy
+plus at most k augmentations, so the cost is two of those per subset of
+neigh(i), and the sweep is reserved for agents with at most ``max_neigh``
+neighbors; the rest fall back on the always-valid interval
+[marg(i, N), opt({i})].  No worth is looked up in a cache.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def _bounds_job(payload, cache, job):
     solo = float(scenario.solo_value[i])
 
     if deg > max_neigh:
-        return i, marginal_restricted(scenario, i, full & ~bit, cache), solo, True
+        return i, marginal_restricted(scenario, i, full & ~bit), solo, True
 
     n = scenario.n
     l = n - deg - 1
@@ -95,8 +97,8 @@ def _bounds_job(payload, cache, job):
     lb = ub = 0.0
     for p_mask in gray_subsets(neighbors):
         y = y_by_size[p_mask.bit_count()]
-        ub += y * marginal_restricted(scenario, i, p_mask, cache)
-        lb += y * marginal_restricted(scenario, i, rest | p_mask, cache)
+        ub += y * marginal_restricted(scenario, i, p_mask)
+        lb += y * marginal_restricted(scenario, i, rest | p_mask)
     return i, lb, ub, False
 
 
@@ -110,15 +112,15 @@ def shapley_bounds(
     """Per-agent intervals [LB, UB] guaranteed to contain the Shapley value.
 
     Agents with more than ``max_neigh`` neighbors get the trivial interval
-    and are flagged ``fallback=True``.
+    and are flagged ``fallback=True``.  Unknown ids in ``agents`` raise
+    ``ScenarioError``.  The sweep looks no worth up, so ``meta["cache"]``
+    reads no hits and no misses whatever ``cache`` is passed.
     """
     t0 = time.perf_counter()
     if cache is None:
         cache = CharacteristicCache()
-    if agents is None:
-        indices = list(range(scenario.n))
-    else:
-        indices = sorted(scenario.agent_index[a] for a in agents)
+    mask = scenario.full_mask if agents is None else scenario.mask_of(agents)
+    indices = list(iter_bits(mask))
     results, work = _pool.run_jobs(
         _bounds_job, indices, (scenario, max_neigh), cache, workers=workers
     )

@@ -20,7 +20,7 @@ from . import __version__
 from ._pool import default_workers
 from .bounds import DEFAULT_MAX_NEIGH, shapley_bounds
 from .exact import DEFAULT_LIMIT, exact_shapley
-from .model import CharacteristicCache, ScenarioError, char_value, load_scenario, save_scenario
+from .model import ScenarioError, load_scenario, save_scenario
 from .matching import optimal_allocation
 from .preprocess import run_pipeline
 from .report import AgentResult, ShapleyReport, merge_reports
@@ -198,18 +198,15 @@ def solve(
     sampler_calls = 0
     for comp in pre.components:
         if comp.n <= exact_limit:
-            parts.append(exact_shapley(comp, workers=threads))
+            parts.append(exact_shapley(comp, workers=threads, limit=exact_limit))
             exact_components += 1
             continue
         sampled_components += 1
-        cache = CharacteristicCache()
-        interval = shapley_bounds(
-            comp, cache, max_neigh=bounds_max_neigh, workers=threads
-        )
+        interval = shapley_bounds(comp, max_neigh=bounds_max_neigh, workers=threads)
         by_interval = interval.by_agent()
         if sampler == "fpras":
             est = fpras_shapley(
-                comp, cache,
+                comp,
                 cfg=FprasConfig(epsilon=epsilon, delta=delta, seed=seed, workers=threads),
             )
         elif sampler == "range":
@@ -218,7 +215,7 @@ def solve(
             }
             mode = "rel" if lbs and all(v > 0.0 for v in lbs.values()) else "abs"
             est = range_sampler_shapley(
-                comp, cache,
+                comp,
                 cfg=RangeSamplerConfig(
                     epsilon=epsilon, delta=delta, mode=mode,
                     lower_bounds=lbs if mode == "rel" else None,

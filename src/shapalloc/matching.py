@@ -18,7 +18,10 @@ funnels through this kernel.
 
 ``add_agent`` extends an optimal allocation by one agent with at most ``k``
 augmenting searches; ``marginal_gain`` and the permutation sampler's walk
-are built on it.
+are built on it.  ``marginal_gain`` is the one route for every marginal
+contribution outside the worth table and exact enumeration: separability,
+pruning, the bounds and the range sampler all reach it through
+``model.marginal_restricted``.
 """
 
 from __future__ import annotations

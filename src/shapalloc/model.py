@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -374,15 +374,16 @@ class CharacteristicCache:
 
     Bound to a single scenario: keys are masks in that scenario's agent
     order.  Values are deterministic, so a cache can be dropped, split
-    across workers, or merged without changing any result.  An optional
-    entry cap evicts least-recently-used masks.
+    across workers, or merged without changing any result.  It has no entry
+    cap: it grows with the distinct masks looked up, which only exact
+    enumeration, the permutation sampler's worth table and direct
+    ``char_value`` calls do.
     """
 
-    def __init__(self, max_entries: int | None = None):
+    def __init__(self):
         self.store: dict[int, float] = {}
         self.hits = 0
         self.misses = 0
-        self.max_entries = max_entries
 
     def get(self, mask: int) -> float | None:
         v = self.store.get(mask)
@@ -390,15 +391,9 @@ class CharacteristicCache:
             self.misses += 1
             return None
         self.hits += 1
-        if self.max_entries is not None:
-            # dict preserves insertion order; reinsert to mark recency
-            del self.store[mask]
-            self.store[mask] = v
         return v
 
     def put(self, mask: int, value: float) -> None:
-        if self.max_entries is not None and len(self.store) >= self.max_entries:
-            self.store.pop(next(iter(self.store)))
         self.store[mask] = value
 
     def __len__(self) -> int:
@@ -465,25 +460,18 @@ def marginal_contribution(
     )
 
 
-# beyond this component size, one matching plus augmentations beats valuing
-# both sides of the difference
-AUGMENT_THRESHOLD = 40
-
-
 def marginal_restricted(
-    scenario: AllocationScenario,
-    i: int,
-    coalition: Coalition,
-    cache: CharacteristicCache | None = None,
+    scenario: AllocationScenario, i: int, coalition: Coalition
 ) -> float:
     """Marginal contribution of ``i`` to ``coalition``, evaluated locally.
 
     Only the connected component of ``i`` inside ``coalition | {i}`` can
-    change when ``i`` joins, so the difference is taken on that component
-    alone.  Small components are valued twice through the cache; large ones
-    are handled by augmenting one optimal matching with ``i``'s capacity
-    units, which never values the rest of the component at all.  Exact
-    either way.
+    change when ``i`` joins.  With no neighbor of ``i`` in the coalition
+    the marginal is ``i``'s solo value; otherwise it is
+    ``matching.marginal_gain`` on that component: one greedy for the
+    component without ``i``, then at most k augmentations adding ``i``.
+    Exact; it looks nothing up in a cache and never touches the rest of
+    the coalition.
     """
     bit = 1 << i
     if coalition & bit:
@@ -491,11 +479,7 @@ def marginal_restricted(
     neigh = scenario.graph.neighbor_masks
     if neigh[i] & coalition == 0:
         return float(scenario.solo_value[i])
-    comp = component_of(i, coalition, neigh)
-    if comp.bit_count() > AUGMENT_THRESHOLD:
-        from . import matching
+    from . import matching
 
-        return matching.marginal_gain(scenario, comp & ~bit, i)
-    return _component_value(scenario, comp, cache) - char_value(
-        scenario, comp & ~bit, cache
-    )
+    comp = component_of(i, coalition, neigh)
+    return matching.marginal_gain(scenario, comp & ~bit, i)

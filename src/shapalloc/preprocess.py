@@ -28,8 +28,6 @@ import numpy as np
 
 from .model import (
     AllocationScenario,
-    CharacteristicCache,
-    char_value,
     connected_components,
     iter_bits,
     marginal_restricted,
@@ -124,7 +122,6 @@ def split_components(scenario: AllocationScenario) -> list[AllocationScenario]:
 
 def separate_singletons(
     scenario: AllocationScenario,
-    cache: CharacteristicCache | None = None,
     tol: float = REL_TOL,
 ) -> tuple[dict[str, float], AllocationScenario]:
     """Resolve synergy-free agents at their solo optimum, to a fixpoint.
@@ -134,10 +131,10 @@ def separate_singletons(
     could ever get alone.  Anti-monotonicity of marginals then pins every one
     of its marginal contributions, hence its Shapley value, to opt({i}).
     Removing such an agent can create new qualifiers, so the test is repeated
-    on the shrinking remainder.
+    on the shrinking remainder.  Each marginal is ``marginal_restricted`` to
+    the rest of the agent's component: one greedy for that rest, then at
+    most k augmentations adding the agent.
     """
-    if cache is None:
-        cache = CharacteristicCache()
     neigh = scenario.graph.neighbor_masks
     live = scenario.full_mask
     resolved: dict[str, float] = {}
@@ -152,10 +149,9 @@ def separate_singletons(
                 live &= ~comp
                 changed = True
                 continue
-            v_comp = char_value(scenario, comp, cache)
             for i in members:
                 solo = float(scenario.solo_value[i])
-                marg = v_comp - char_value(scenario, comp & ~(1 << i), cache)
+                marg = marginal_restricted(scenario, i, comp & ~(1 << i))
                 if marg >= solo - tol * max(1.0, solo):
                     resolved[scenario.agents[i]] = solo
                     live &= ~(1 << i)
@@ -168,7 +164,6 @@ def separate_singletons(
 
 def prune_useless_goods(
     scenario: AllocationScenario,
-    cache: CharacteristicCache | None = None,
     tol: float = REL_TOL,
 ) -> tuple[AllocationScenario, list[tuple[str, str]]]:
     """Drop goods from interest sets that can never lift a marginal contribution.
@@ -180,8 +175,6 @@ def prune_useless_goods(
     the single best alternative.)  Only i's own interest set changes; other
     agents keep the good.
     """
-    if cache is None:
-        cache = CharacteristicCache()
     k = scenario.k
     full = scenario.full_mask
     pruned: list[tuple[str, str]] = []
@@ -191,7 +184,7 @@ def prune_useless_goods(
         if not row:
             new_interest[a] = []
             continue
-        marg = marginal_restricted(scenario, i, full & ~(1 << i), cache)
+        marg = marginal_restricted(scenario, i, full & ~(1 << i))
         vals = np.asarray([scenario.good_values[j] for j in row])
         order = np.argsort(-vals, kind="stable")
         keep: list[int] = []

@@ -291,18 +291,13 @@ class AgentRange:
     width: float  # solo - grand_marginal, >= 0
 
 
-def compute_ranges(
-    scenario: AllocationScenario,
-    cache: CharacteristicCache | None = None,
-) -> dict[str, AgentRange]:
+def compute_ranges(scenario: AllocationScenario) -> dict[str, AgentRange]:
     """Per-agent marginal-contribution ranges r_i = opt({i}) - marg(i, N)."""
-    if cache is None:
-        cache = CharacteristicCache()
     full = scenario.full_mask
     out: dict[str, AgentRange] = {}
     for i, a in enumerate(scenario.agents):
         solo = float(scenario.solo_value[i])
-        marg = marginal_restricted(scenario, i, full & ~(1 << i), cache)
+        marg = marginal_restricted(scenario, i, full & ~(1 << i))
         out[a] = AgentRange(solo=solo, grand_marginal=marg, width=max(0.0, solo - marg))
     return out
 
@@ -338,8 +333,8 @@ class RangeSamplerConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.mode not in ("abs", "rel"):
@@ -364,7 +359,7 @@ def _range_job(payload, cache, job):
             members[:] = False
             members[subsets[t, :size]] = True
             mask = mask_from_bool(members)
-        total += marginal_restricted(scenario, i, mask, cache)
+        total += marginal_restricted(scenario, i, mask)
     return i, total
 
 
@@ -380,6 +375,8 @@ def range_sampler_shapley(
     a uniform subset of the other agents of that size; under this law the
     expected marginal contribution is exactly the Shapley value.  Agents with
     zero range need no samples at all: every marginal equals opt({i}).
+    Ranges and samples are ``marginal_restricted`` calls, which look no worth
+    up, so ``meta["cache"]`` reads no hits and no misses.
     """
     if cfg is None:
         cfg = RangeSamplerConfig(**kwargs)
@@ -389,7 +386,7 @@ def range_sampler_shapley(
         return ShapleyReport(agents=[], meta={"method": "range-sample", "n": 0})
     if cache is None:
         cache = CharacteristicCache()
-    ranges = compute_ranges(scenario, cache)
+    ranges = compute_ranges(scenario)
     delta_i = cfg.delta / n
 
     eps_i: dict[str, float] = {}

@@ -257,7 +257,7 @@ def test_criterion_8_large_market_surrogate():
     comp = max(pre.components, key=lambda c: c.n)
     assert comp.n >= 600, "a dominant large component must emerge"
 
-    cache = sa.CharacteristicCache(max_entries=400_000)
+    cache = sa.CharacteristicCache()
     t1 = time.perf_counter()
     intervals = sa.shapley_bounds(comp, cache, max_neigh=19, workers=2)
     t_bounds = time.perf_counter() - t1

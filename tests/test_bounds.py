@@ -105,7 +105,7 @@ class TestShapleyBounds:
         full = scn.full_mask
         for rec in rep.agents:
             i = scn.agent_index[rec.agent]
-            marg = sa.marginal_restricted(scn, i, full & ~(1 << i), cache)
+            marg = sa.marginal_restricted(scn, i, full & ~(1 << i))
             solo = float(scn.solo_value[i])
             assert rec.lb >= marg - 1e-9
             assert rec.ub <= solo + 1e-9
@@ -132,7 +132,7 @@ class TestShapleyBounds:
             assert rec.fallback is True
             assert rec.method == "trivial-range"
             i = scn.agent_index[rec.agent]
-            marg = sa.marginal_restricted(scn, i, full & ~(1 << i), cache)
+            marg = sa.marginal_restricted(scn, i, full & ~(1 << i))
             assert rec.lb == pytest.approx(marg, rel=1e-12, abs=1e-12)
             assert rec.ub == pytest.approx(float(scn.solo_value[i]), rel=1e-12)
 

@@ -94,6 +94,26 @@ def test_bounds_agent_filter(ref_file, tmp_path):
     assert [r.agent for r in rep.agents] == ["a1", "a3"]
 
 
+def test_bounds_unknown_agent_fails_cleanly(ref_file, capsys):
+    assert run_cli("bounds", "--scenario", ref_file, "--agents", "a1,nosuch",
+                   "--threads", "1") == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_solve_passes_exact_limit_to_exact_solver(ref_file, tmp_path, monkeypatch):
+    limits = []
+    exact_shapley = sa.exact_shapley
+
+    def spy(scenario, cache=None, workers=1, limit=sa.exact.DEFAULT_LIMIT):
+        limits.append(limit)
+        return exact_shapley(scenario, cache, workers=workers, limit=limit)
+
+    monkeypatch.setattr("shapalloc.cli.exact_shapley", spy)
+    assert run_cli("solve", "--scenario", ref_file, "--exact-limit", "28",
+                   "--threads", "1", "--out", str(tmp_path / "solve.json")) == 0
+    assert limits == [28]
+
+
 def test_fpras_subcommand(ref_file, tmp_path):
     out = tmp_path / "fpras.json"
     assert run_cli("fpras", "--scenario", ref_file, "--epsilon", "0.3",
@@ -141,6 +161,13 @@ def test_range_sample_malformed_lb_file_fails_cleanly(ref_file, tmp_path, capsys
                    "--delta", "0.05", "--mode", "rel", "--lb-file", str(lb_path),
                    "--threads", "1") == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_range_sample_non_finite_epsilon_fails_cleanly(ref_file, capsys, epsilon):
+    assert run_cli("range-sample", "--scenario", ref_file, "--epsilon", epsilon,
+                   "--delta", "0.05", "--threads", "1") == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_solve_routes_small_component_exactly(ref_file, tmp_path):

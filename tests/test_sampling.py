@@ -132,6 +132,10 @@ class TestRangeSampler:
             sa.RangeSamplerConfig(epsilon=0.1, delta=1.5)
         with pytest.raises(ValueError):
             sa.RangeSamplerConfig(epsilon=0.1, delta=0.1, mode="typo")
+        # an infinite target would need no samples and report solo values
+        for epsilon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                sa.RangeSamplerConfig(epsilon=epsilon, delta=0.1)
 
 
 class TestFpras:
@@ -270,6 +274,13 @@ def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
         cfg = sa.FprasConfig(epsilon=0.4, delta=0.3, seed=4, batch_perms=8, workers=workers)
         return sa.fpras_shapley(scn, cache, cfg=cfg)
 
+    if solver in ("range", "bounds"):
+        # every marginal is one greedy plus augmentations, with no lookup
+        for workers in (1, 2):
+            meta = run(workers, sa.CharacteristicCache()).meta
+            assert meta["cache"] == {"hits": 0, "misses": 0}
+            assert meta["matchings"] > 0
+        return
     two = run(2).meta["cache"]
     # lookups the passed cache sees while the sampling jobs run
     cache = sa.CharacteristicCache()
