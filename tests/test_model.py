@@ -143,12 +143,16 @@ class TestMarginals:
                         break
                     c = (c - others) & others
 
-        # random coalitions of one 140-agent connected component
+    def test_restricted_marginal_agrees_beyond_augment_threshold(self):
+        # random coalitions of one connected component far larger than the
+        # coalitions a restricted solve usually sees (105 agents of 140)
         scn = sa.generate(agents=140, coauthor_prob=0.6, max_claimers=2,
                           value_weights=(0.1, 0.2, 0.2, 0.25, 0.25), k=2, seed=31)
         scn = sa.strip_null_goods(scn)
         comp = max(scn.graph.components(), key=lambda m: m.bit_count())
+        assert comp.bit_count() > 40
         members = list(sa.iter_bits(comp))
+        cache = sa.CharacteristicCache()
         rng = np.random.default_rng(2)
         for _ in range(12):
             agent = members[int(rng.integers(len(members)))]
@@ -157,7 +161,11 @@ class TestMarginals:
             for pos, b in enumerate(members):
                 if keep[pos] and b != agent:
                     c |= 1 << b
-            check(scn, agent, c)
+            want = sa.char_value(scn, c | 1 << agent, cache) - sa.char_value(scn, c, cache)
+            got = sa.marginal_restricted(scn, agent, c)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert sa.marginal_contribution(scn, agent, c) == pytest.approx(
+                want, rel=1e-9, abs=1e-12)
 
 
 class TestAgentsGraph:
