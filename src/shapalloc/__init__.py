@@ -8,6 +8,8 @@ guaranteed intervals or randomized estimates where not, after shrinking the
 instance with value-preserving simplifications.
 """
 
+__version__ = "0.1.0"
+
 from .model import (
     AgentsGraph,
     AllocationScenario,
@@ -53,8 +55,7 @@ from .sampling import (
 )
 from .generator import extract_subgraph, generate
 from .report import AgentResult, ShapleyReport, merge_reports
-
-__version__ = "0.1.0"
+from .pipeline import solve
 
 __all__ = [
     "AgentRange",
@@ -98,6 +99,7 @@ __all__ = [
     "separate_singletons",
     "shapley_bounds",
     "shapley_weight",
+    "solve",
     "split_components",
     "strip_null_goods",
 ]

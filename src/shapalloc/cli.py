@@ -1,9 +1,10 @@
 """Command-line interface: one subcommand per pipeline stage plus `solve`.
 
 All I/O uses the canonical JSON formats: scenario files in, report files
-out.  `solve` chains everything: simplify, then route each residual
-component to the exact solver (small), or to bounds plus a sampler (large),
-and merge one report over the original agents.
+out.  `solve` loads a scenario, runs ``pipeline.solve`` on it (simplify,
+route each residual component to the exact solver or to bounds plus a
+sampler, merge one report), and writes the report and, optionally, a CSV
+table for plotting.
 """
 
 from __future__ import annotations
@@ -14,16 +15,16 @@ import json
 import math
 import numbers
 import sys
-import time
 
 from . import __version__
 from ._pool import default_workers
 from .bounds import DEFAULT_MAX_NEIGH, shapley_bounds
 from .exact import DEFAULT_LIMIT, exact_shapley
-from .model import ScenarioError, load_scenario, save_scenario
+from .model import ScenarioError, load_scenario
 from .matching import optimal_allocation
+from .pipeline import SAMPLERS, solve
 from .preprocess import run_pipeline
-from .report import AgentResult, ShapleyReport, merge_reports
+from .report import ShapleyReport
 from .sampling import FprasConfig, RangeSamplerConfig, fpras_shapley, range_sampler_shapley
 from .generator import extract_subgraph, generate
 
@@ -37,10 +38,6 @@ def _emit(data: dict, out: str | None) -> None:
         print(text)
 
 
-def _emit_report(report: ShapleyReport, out: str | None) -> None:
-    _emit(report.to_dict(), out)
-
-
 def cmd_generate(args) -> int:
     scn = generate(
         agents=args.agents,
@@ -52,20 +49,14 @@ def cmd_generate(args) -> int:
         seed=args.seed,
         max_claimers=args.max_claimers,
     )
-    if args.out:
-        save_scenario(scn, args.out)
-    else:
-        print(json.dumps(scn.to_dict(), indent=2))
+    _emit(scn.to_dict(), args.out)
     return 0
 
 
 def cmd_extract(args) -> int:
     scn = load_scenario(args.scenario)
     sub = extract_subgraph(scn, args.size, seed=args.seed)
-    if args.out:
-        save_scenario(sub, args.out)
-    else:
-        print(json.dumps(sub.to_dict(), indent=2))
+    _emit(sub.to_dict(), args.out)
     return 0
 
 
@@ -103,7 +94,7 @@ def cmd_opt(args) -> int:
 def cmd_exact(args) -> int:
     scn = load_scenario(args.scenario)
     report = exact_shapley(scn, workers=args.threads, limit=args.limit)
-    _emit_report(report, args.out)
+    _emit(report.to_dict(), args.out)
     return 0
 
 
@@ -116,7 +107,7 @@ def cmd_bounds(args) -> int:
         max_neigh=args.max_neigh,
         workers=args.threads,
     )
-    _emit_report(report, args.out)
+    _emit(report.to_dict(), args.out)
     return 0
 
 
@@ -128,10 +119,9 @@ def cmd_fpras(args) -> int:
         runs=args.runs,
         seed=args.seed,
         workers=args.threads,
-        shortcut=not args.no_shortcut,
     )
     report = fpras_shapley(scn, cfg=cfg)
-    _emit_report(report, args.out)
+    _emit(report.to_dict(), args.out)
     return 0
 
 
@@ -161,120 +151,17 @@ def cmd_range_sample(args) -> int:
         delta=args.delta,
         mode=args.mode,
         lower_bounds=lbs,
-        batch_size=args.batch,
         seed=args.seed,
         workers=args.threads,
     )
     report = range_sampler_shapley(scn, cfg=cfg)
-    _emit_report(report, args.out)
+    _emit(report.to_dict(), args.out)
     return 0
-
-
-def solve(
-    scenario_path: str,
-    exact_limit: int = DEFAULT_LIMIT,
-    bounds_max_neigh: int = DEFAULT_MAX_NEIGH,
-    sampler: str = "fpras",
-    epsilon: float = 0.3,
-    delta: float = 0.01,
-    seed: int = 0,
-    threads: int = 1,
-) -> ShapleyReport:
-    """Preprocess, route every component, and merge one report."""
-    t0 = time.perf_counter()
-    scn = load_scenario(scenario_path)
-    pre = run_pipeline(scn)
-    timings = {"preprocess": pre.wall_time}
-
-    parts: list[ShapleyReport] = []
-    resolved = [
-        AgentResult(agent=a, kind="exact", method="separable", value=v)
-        for a, v in sorted(pre.resolved_values().items())
-    ]
-    parts.append(ShapleyReport(agents=resolved))
-
-    exact_components = 0
-    sampled_components = 0
-    sampler_calls = 0
-    for comp in pre.components:
-        if comp.n <= exact_limit:
-            parts.append(exact_shapley(comp, workers=threads, limit=exact_limit))
-            exact_components += 1
-            continue
-        sampled_components += 1
-        interval = shapley_bounds(comp, max_neigh=bounds_max_neigh, workers=threads)
-        by_interval = interval.by_agent()
-        if sampler == "fpras":
-            est = fpras_shapley(
-                comp,
-                cfg=FprasConfig(epsilon=epsilon, delta=delta, seed=seed, workers=threads),
-            )
-        elif sampler == "range":
-            lbs = {
-                a: r.lb for a, r in by_interval.items() if r.lb is not None
-            }
-            mode = "rel" if lbs and all(v > 0.0 for v in lbs.values()) else "abs"
-            est = range_sampler_shapley(
-                comp,
-                cfg=RangeSamplerConfig(
-                    epsilon=epsilon, delta=delta, mode=mode,
-                    lower_bounds=lbs if mode == "rel" else None,
-                    seed=seed, workers=threads,
-                ),
-            )
-        else:
-            raise ValueError(f"unknown sampler {sampler!r}")
-        sampler_calls += 1
-        merged = []
-        for rec in est.agents:
-            iv = by_interval.get(rec.agent)
-            value = rec.value
-            if iv is not None and iv.lb is not None and iv.ub is not None:
-                value = min(max(value, iv.lb), iv.ub)
-            merged.append(
-                AgentResult(
-                    agent=rec.agent,
-                    kind="estimate",
-                    method=rec.method,
-                    value=value,
-                    lb=None if iv is None else iv.lb,
-                    ub=None if iv is None else iv.ub,
-                    epsilon=rec.epsilon,
-                    delta=rec.delta,
-                    samples=rec.samples,
-                    fallback=None if iv is None else iv.fallback,
-                )
-            )
-        parts.append(ShapleyReport(agents=merged))
-
-    order = {a: i for i, a in enumerate(scn.agents)}
-    report = merge_reports(parts)
-    report.agents.sort(key=lambda r: order[r.agent])
-    report.meta = {
-        "method": "solve",
-        "version": __version__,
-        "policy": {
-            "exact_limit": exact_limit,
-            "bounds_max_neigh": bounds_max_neigh,
-            "sampler": sampler,
-            "epsilon": epsilon,
-            "delta": delta,
-            "seed": seed,
-            "threads": threads,
-        },
-        "preprocess": pre.stage_counts,
-        "components_exact": exact_components,
-        "components_sampled": sampled_components,
-        "sampler_calls": sampler_calls,
-        "timings": timings,
-        "wall_time": time.perf_counter() - t0,
-    }
-    return report
 
 
 def cmd_solve(args) -> int:
     report = solve(
-        args.scenario,
+        load_scenario(args.scenario),
         exact_limit=args.exact_limit,
         bounds_max_neigh=args.bounds_max_neigh,
         sampler=args.sampler,
@@ -283,7 +170,7 @@ def cmd_solve(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
-    _emit_report(report, args.out)
+    _emit(report.to_dict(), args.out)
     if args.plot_csv:
         with open(args.plot_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -402,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--runs", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-shortcut", action="store_true",
-                   help="evaluate disconnected steps through the full machinery")
     add_threads(p)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_fpras)
@@ -415,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["abs", "rel"], default="abs")
     p.add_argument("--lb-file", default=None,
                    help="bounds report or agent->lower-bound JSON map (rel mode)")
-    p.add_argument("--batch", type=int, default=512)
     p.add_argument("--seed", type=int, default=0)
     add_threads(p)
     p.add_argument("--out", default=None)
@@ -425,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--exact-limit", type=int, default=DEFAULT_LIMIT)
     p.add_argument("--bounds-max-neigh", type=int, default=DEFAULT_MAX_NEIGH)
-    p.add_argument("--sampler", choices=["fpras", "range"], default="fpras")
+    p.add_argument("--sampler", choices=SAMPLERS, default="fpras")
     p.add_argument("--epsilon", type=float, default=0.3)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)

@@ -41,25 +41,31 @@ from .model import (
 )
 from .report import AgentResult, ShapleyReport
 
+# samples per job: permutations for the permutation sampler, coalitions for
+# the range sampler
+BATCH = 512
+# the permutation sampler reads marginals off a worth table up to this size
+TABLE_LIMIT = 14
+
 
 def _job_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _run_batched(job_fn, budgets, batch: int, payload, cache, workers: int):
+def _run_batched(job_fn, budgets, payload, cache, workers: int):
     """Run sampling jobs over per-key budgets split into batches.
 
     ``budgets`` pairs each key (a run, or an agent) with its sample count.
-    Each job is ``(key, batch index, count)`` with at most ``batch`` samples
+    Each job is ``(key, batch index, count)`` with at most ``BATCH`` samples
     and returns ``(key, part)``; the permutation sampler's jobs append their
     shortcut hits.  Parts are summed per key and hits over all jobs, both in
     job order, so the merge is the same for any worker count.  Returns the
     parts, the hits and the runner's work counts.
     """
     jobs = [
-        (key, b, min(batch, budget - start))
+        (key, b, min(BATCH, budget - start))
         for key, budget in budgets
-        for b, start in enumerate(range(0, budget, batch))
+        for b, start in enumerate(range(0, budget, BATCH))
     ]
     results, work = _pool.run_jobs(job_fn, jobs, payload, cache, workers=workers)
     parts: dict = {}
@@ -90,9 +96,6 @@ class FprasConfig:
     runs: int = 3
     seed: int = 0
     workers: int = 1
-    shortcut: bool = True
-    batch_perms: int = 512
-    table_limit: int = 14
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -112,7 +115,6 @@ class FprasConfig:
 def permutation_walk(
     scenario: AllocationScenario,
     perm: list[int],
-    shortcut: bool,
     holder: dict[int, int],
     held: dict[int, list[int]],
 ) -> Iterator[tuple[int, float, bool]]:
@@ -123,8 +125,8 @@ def permutation_walk(
     allocation for the prefix that ends with the agent just added.  Yields
     ``(agent, contribution, disconnected)`` per step, where ``disconnected``
     says no earlier agent is a neighbor.  Such an agent takes its solo goods
-    and contributes its solo value when ``shortcut`` is set; every other
-    step runs at most k augmenting searches.
+    and contributes its solo value; every other step runs at most k
+    augmenting searches.
     """
     neigh = scenario.graph.neighbor_masks
     solo_value = scenario.solo_value
@@ -132,7 +134,7 @@ def permutation_walk(
     prefix = 0
     for j in perm:
         alone = neigh[j] & prefix == 0
-        if alone and shortcut:
+        if alone:
             contrib = float(solo_value[j])
             held[j] = list(solo_goods(j))
             for g in solo_goods(j):
@@ -144,7 +146,7 @@ def permutation_walk(
 
 
 def _fpras_loop_job(payload, cache, job):
-    scenario, seed, shortcut = payload
+    scenario, seed = payload
     run, batch_idx, count = job
     rng = _job_rng(seed, 0, run, batch_idx)
     n = scenario.n
@@ -152,7 +154,7 @@ def _fpras_loop_job(payload, cache, job):
     hits = 0
     for _ in range(count):
         perm = rng.permutation(n).tolist()
-        for j, contrib, alone in permutation_walk(scenario, perm, shortcut, {}, {}):
+        for j, contrib, alone in permutation_walk(scenario, perm, {}, {}):
             sums[j] += contrib
             hits += alone
     return run, np.asarray(sums), hits
@@ -197,10 +199,10 @@ def fpras_shapley(
     matching and looks nothing up, so its ``meta`` reports ``matchings`` 0
     and a cache with no hits or misses.
 
-    The ``shortcut`` flag only controls whether disconnected steps skip the
-    evaluation machinery (the worth table, or the augmenting searches);
-    contributed values are identical either way, and the number of steps
-    served by the fast path is reported regardless.
+    The table is used when the component has at most ``TABLE_LIMIT`` agents
+    and the budget covers its 2^n entries.  The mode sets only the speed:
+    both credit an agent none of whose neighbors precede it with its solo
+    value, and ``meta["shortcut_hits"]`` counts those steps.
     """
     if cfg is None:
         cfg = FprasConfig(**kwargs)
@@ -210,7 +212,7 @@ def fpras_shapley(
         return ShapleyReport(agents=[], meta={"method": "fpras", "n": 0})
     perms_per_run = cfg.permutations_per_run(n)
     m_target = cfg.contributions_per_run(n)
-    use_table = n <= cfg.table_limit and perms_per_run * n >= (1 << n)
+    use_table = n <= TABLE_LIMIT and perms_per_run * n >= (1 << n)
 
     if cache is None:
         cache = CharacteristicCache()
@@ -225,13 +227,10 @@ def fpras_shapley(
             n,
             cfg.seed,
         )
-        sums, shortcut_hits, _ = _run_batched(
-            _fpras_table_job, budgets, cfg.batch_perms, payload, cache, 1
-        )
+        sums, shortcut_hits, _ = _run_batched(_fpras_table_job, budgets, payload, cache, 1)
     else:
-        payload = (scenario, cfg.seed, cfg.shortcut)
         sums, shortcut_hits, work = _run_batched(
-            _fpras_loop_job, budgets, cfg.batch_perms, payload, cache, cfg.workers
+            _fpras_loop_job, budgets, (scenario, cfg.seed), cache, cfg.workers
         )
     run_sums = np.vstack([sums[run] for run in range(cfg.runs)])
 
@@ -262,7 +261,6 @@ def fpras_shapley(
         "runs": cfg.runs,
         "seed": cfg.seed,
         "workers": cfg.workers,
-        "shortcut": cfg.shortcut,
         "mode": "table" if use_table else "loop",
         "contributions_target_per_run": m_target,
         "contributions_per_run": perms_per_run * n,
@@ -328,7 +326,6 @@ class RangeSamplerConfig:
     delta: float
     mode: str = "abs"
     lower_bounds: dict[str, float] | None = None
-    batch_size: int = 512
     seed: int = 0
     workers: int = 1
 
@@ -413,9 +410,7 @@ def range_sampler_shapley(
     }
 
     budgets = [(i, needed[a]) for i, a in enumerate(scenario.agents)]
-    totals, _, work = _run_batched(
-        _range_job, budgets, cfg.batch_size, (scenario, cfg.seed), cache, cfg.workers
-    )
+    totals, _, work = _run_batched(_range_job, budgets, (scenario, cfg.seed), cache, cfg.workers)
 
     agents = []
     for i, a in enumerate(scenario.agents):

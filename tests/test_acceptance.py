@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import shapalloc as sa
-from shapalloc.sampling import hoeffding_sample_count
+from shapalloc.sampling import hoeffding_sample_count, permutation_walk
 
 from conftest import three_agent_game
 
@@ -188,21 +188,35 @@ def test_criterion_5_fpras_statistical_guarantee():
 
 
 def test_criterion_6_shortcut_identity_and_savings_band():
-    # value identity: flag on/off, same seed, bit-identical reports
+    # value identity: every step whose agent has no earlier neighbor is
+    # credited exactly the worth difference, on a ring (table mode) and on a
+    # 60-agent component (loop mode)
     ring = ring_game(12)
-    on = sa.fpras_shapley(ring, epsilon=0.4, delta=0.1, seed=6, shortcut=True)
-    off = sa.fpras_shapley(ring, epsilon=0.4, delta=0.1, seed=6, shortcut=False)
-    assert [r.value for r in on.agents] == [r.value for r in off.agents]
-    assert on.meta["mode"] == "table"
+    assert sa.fpras_shapley(ring, epsilon=0.4, delta=0.1, seed=6).meta["mode"] == "table"
 
     loop_scn = sa.generate(agents=60, coauthor_prob=0.5, max_claimers=2,
                            value_weights=(0.2, 0.2, 0.2, 0.2, 0.2), k=2, seed=8)
     comp = max(sa.run_pipeline(loop_scn).components, key=lambda c: c.n)
-    cfg = dict(epsilon=0.5, delta=0.5, seed=6, runs=1)
-    l_on = sa.fpras_shapley(comp, cfg=sa.FprasConfig(shortcut=True, **cfg))
-    l_off = sa.fpras_shapley(comp, cfg=sa.FprasConfig(shortcut=False, **cfg))
-    assert l_on.meta["mode"] == "loop"
-    assert [r.value for r in l_on.agents] == [r.value for r in l_off.agents]
+    cfg = sa.FprasConfig(epsilon=0.5, delta=0.5, seed=6, runs=1)
+    assert sa.fpras_shapley(comp, cfg=cfg).meta["mode"] == "loop"
+
+    rng = np.random.default_rng(6)
+    alone_steps = []
+    for scn in (ring, comp):
+        cache = sa.CharacteristicCache()
+        steps = 0
+        for _ in range(20):
+            prefix = 0
+            perm = rng.permutation(scn.n).tolist()
+            for j, contrib, alone in permutation_walk(scn, perm, {}, {}):
+                if alone:
+                    want = (sa.char_value(scn, prefix | 1 << j, cache)
+                            - sa.char_value(scn, prefix, cache))
+                    assert contrib == pytest.approx(want, rel=1e-12, abs=1e-12)
+                    steps += 1
+                prefix |= 1 << j
+        assert steps > 0
+        alone_steps.append(steps)
 
     # savings band on market-shaped sparse components
     fractions = []
@@ -216,7 +230,8 @@ def test_criterion_6_shortcut_identity_and_savings_band():
         rep = sa.fpras_shapley(comp, cfg=sa.FprasConfig(epsilon=0.9, delta=0.9, seed=1, runs=1))
         fractions.append(rep.meta["shortcut_fraction"])
     assert all(0.15 <= f <= 0.35 for f in fractions)
-    _ok(6, f"shortcut value-neutral; served fractions {[f'{f:.0%}' for f in fractions]}")
+    _ok(6, f"shortcut steps {alone_steps} value-neutral; "
+           f"served fractions {[f'{f:.0%}' for f in fractions]}")
 
 
 def test_criterion_7_range_sampler_budget_and_failures():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import shapalloc as sa
-from shapalloc import _pool
+from shapalloc import _pool, sampling
 from shapalloc.matching import Allocation
 from shapalloc.sampling import permutation_walk
 
@@ -163,41 +163,33 @@ class TestFpras:
         grand = sa.char_value(ref_game, ref_game.full_mask, cache)
         assert rep.total() == pytest.approx(grand, rel=1e-12)
 
-    def test_shortcut_flag_changes_nothing_numerically(self):
-        # table mode
-        scn = random_scenario(450, n=8)
-        on = sa.fpras_shapley(scn, epsilon=0.4, delta=0.1, seed=11, shortcut=True)
-        off = sa.fpras_shapley(scn, epsilon=0.4, delta=0.1, seed=11, shortcut=False)
-        assert [r.value for r in on.agents] == [r.value for r in off.agents]
-        assert on.meta["shortcut_hits"] == off.meta["shortcut_hits"]
-        # loop mode (too many agents for the table)
-        big = random_scenario(451, n=12)
-        cfg_on = sa.FprasConfig(epsilon=0.8, delta=0.5, seed=3, table_limit=4)
-        cfg_off = sa.FprasConfig(epsilon=0.8, delta=0.5, seed=3, table_limit=4, shortcut=False)
-        l_on = sa.fpras_shapley(big, cfg=cfg_on)
-        l_off = sa.fpras_shapley(big, cfg=cfg_off)
-        assert l_on.meta["mode"] == "loop"
-        assert [r.value for r in l_on.agents] == [r.value for r in l_off.agents]
-        assert l_on.meta["shortcut_hits"] == l_off.meta["shortcut_hits"]
+    def test_table_and_loop_jobs_agree_exactly(self):
+        # the same jobs draw the same permutations in either mode, so the
+        # per-agent sums and the shortcut counts must agree
+        seed = 7
+        jobs = [(run, b, 40) for run in range(2) for b in range(2)]
+        for inst in range(12):
+            scn = random_scenario(900 + inst, n=3 + inst % 10)
+            n = scn.n
+            vtab = sampling._worth_table_job(scn, sa.CharacteristicCache(), n)
+            neigh = np.asarray(scn.graph.neighbor_masks, dtype=np.int64)
+            table_payload = (vtab, neigh, scn.solo_value, n, seed)
+            for job in jobs:
+                t_run, t_sums, t_hits = sampling._fpras_table_job(table_payload, None, job)
+                l_run, l_sums, l_hits = sampling._fpras_loop_job((scn, seed), None, job)
+                assert t_run == l_run == job[0]
+                scale = max(1.0, float(np.abs(l_sums).max()))
+                np.testing.assert_allclose(t_sums, l_sums, rtol=1e-12, atol=1e-12 * scale)
+                assert t_hits == l_hits
 
-    def test_table_and_loop_modes_agree_statistically(self):
-        scn = random_scenario(452, n=8)
-        exact = exact_values(scn)
-        table = sa.fpras_shapley(scn, epsilon=0.3, delta=0.05, seed=1)
-        loop = sa.fpras_shapley(scn, cfg=sa.FprasConfig(epsilon=0.3, delta=0.05, seed=1, table_limit=4))
-        assert table.meta["mode"] == "table"
-        assert loop.meta["mode"] == "loop"
-        for rep in (table, loop):
-            for rec in rep.agents:
-                ref = exact[rec.agent]
-                assert rec.value == pytest.approx(ref, abs=max(0.3 * abs(ref), 0.15))
-
-    def test_seeded_determinism_and_worker_invariance(self):
+    def test_seeded_determinism_and_worker_invariance(self, monkeypatch):
+        monkeypatch.setattr("shapalloc.sampling.TABLE_LIMIT", 4)
         scn = random_scenario(460, n=12)
-        cfg1 = sa.FprasConfig(epsilon=0.6, delta=0.3, seed=21, table_limit=4, workers=1)
-        cfg3 = sa.FprasConfig(epsilon=0.6, delta=0.3, seed=21, table_limit=4, workers=3)
+        cfg1 = sa.FprasConfig(epsilon=0.6, delta=0.3, seed=21, workers=1)
+        cfg3 = sa.FprasConfig(epsilon=0.6, delta=0.3, seed=21, workers=3)
         a = sa.fpras_shapley(scn, cfg=cfg1)
         b = sa.fpras_shapley(scn, cfg=cfg3)
+        assert a.meta["mode"] == "loop"
         assert [r.value for r in a.agents] == [r.value for r in b.agents]
 
     def test_estimates_track_exact_values(self, ref_game):
@@ -237,22 +229,21 @@ def test_permutation_walk_carries_the_prefix_optimum():
         optimum = {}
         for _ in range(2):
             perm = rng.permutation(n).tolist()
-            for shortcut in (True, False):
-                holder, held = {}, {}
-                prefix = 0
-                for j, contrib, alone in permutation_walk(scn, perm, shortcut, holder, held):
-                    want = sa.char_value(scn, prefix | 1 << j) - sa.char_value(scn, prefix)
-                    assert contrib == pytest.approx(want, rel=1e-12, abs=1e-12), (seed, prefix, j)
-                    assert alone == (scn.graph.neighbor_masks[j] & prefix == 0)
-                    prefix |= 1 << j
-                    assert holder == {g: a for a, goods in held.items() for g in goods}
-                    alloc = Allocation({scn.agents[a]: frozenset(scn.good_ids[g] for g in goods)
-                                        for a, goods in held.items()})
-                    alloc.validate(scn, prefix)
-                    if prefix not in optimum:
-                        optimum[prefix] = (brute_force_opt(scn, prefix) if n <= 7
-                                           else sa.optimal_value_only(scn, prefix))
-                    assert alloc.value(scn) == pytest.approx(optimum[prefix], rel=1e-12, abs=1e-12)
+            holder, held = {}, {}
+            prefix = 0
+            for j, contrib, alone in permutation_walk(scn, perm, holder, held):
+                want = sa.char_value(scn, prefix | 1 << j) - sa.char_value(scn, prefix)
+                assert contrib == pytest.approx(want, rel=1e-12, abs=1e-12), (seed, prefix, j)
+                assert alone == (scn.graph.neighbor_masks[j] & prefix == 0)
+                prefix |= 1 << j
+                assert holder == {g: a for a, goods in held.items() for g in goods}
+                alloc = Allocation({scn.agents[a]: frozenset(scn.good_ids[g] for g in goods)
+                                    for a, goods in held.items()})
+                alloc.validate(scn, prefix)
+                if prefix not in optimum:
+                    optimum[prefix] = (brute_force_opt(scn, prefix) if n <= 7
+                                       else sa.optimal_value_only(scn, prefix))
+                assert alloc.value(scn) == pytest.approx(optimum[prefix], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("solver", ["range", "fpras", "exact", "bounds"])
@@ -260,6 +251,8 @@ def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
     scn = random_scenario(480, n=10)
     # several exact jobs, so that two workers share them out
     monkeypatch.setattr("shapalloc.exact.JOB_BITS", 8)
+    # and several sampling jobs
+    monkeypatch.setattr("shapalloc.sampling.BATCH", 16 if solver == "range" else 8)
 
     def run(workers, cache=None):
         if solver == "exact":
@@ -267,11 +260,10 @@ def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
         if solver == "bounds":
             return sa.shapley_bounds(scn, cache, workers=workers)
         if solver == "range":
-            cfg = sa.RangeSamplerConfig(epsilon=0.3, delta=0.1, seed=4, batch_size=16,
-                                        workers=workers)
+            cfg = sa.RangeSamplerConfig(epsilon=0.3, delta=0.1, seed=4, workers=workers)
             return sa.range_sampler_shapley(scn, cache, cfg=cfg)
         # table mode: the loop walk carries its allocation and looks nothing up
-        cfg = sa.FprasConfig(epsilon=0.4, delta=0.3, seed=4, batch_perms=8, workers=workers)
+        cfg = sa.FprasConfig(epsilon=0.4, delta=0.3, seed=4, workers=workers)
         return sa.fpras_shapley(scn, cache, cfg=cfg)
 
     if solver in ("range", "bounds"):
@@ -301,7 +293,8 @@ def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
     assert seen == ([lookups, 0] if solver == "fpras" else [lookups])
     assert lookups == two["hits"] + two["misses"]
     if solver == "fpras":
-        cfg = sa.FprasConfig(epsilon=0.6, delta=0.3, seed=4, table_limit=4, batch_perms=8)
+        monkeypatch.setattr("shapalloc.sampling.TABLE_LIMIT", 4)
+        cfg = sa.FprasConfig(epsilon=0.6, delta=0.3, seed=4)
         loop = sa.fpras_shapley(scn, sa.CharacteristicCache(), cfg=cfg).meta
         assert loop["mode"] == "loop"
         assert loop["cache"] == {"hits": 0, "misses": 0}
