@@ -8,8 +8,9 @@ via the pool initializer, together with a private cache that lives as long
 as the pool.  Caches never change a value, so per-worker caches cannot
 change a result; only the hit count does.
 
-Each job is wrapped with the deltas of ``matching.solve_calls()`` and of its
-cache's hits and misses, and the runner returns their sums next to the
+Each job is wrapped with the deltas of ``matching.solve_calls()`` (greedy
+matchings), of ``matching.search_calls()`` (add and remove searches) and of
+its cache's hits and misses, and the runner returns their sums next to the
 results.  Partial results come back strictly in job order, so the final
 numbers are identical whatever the worker count or scheduling -- the
 single-worker run is the reference and the parallel runs reproduce it bit
@@ -37,10 +38,16 @@ def _init_worker(payload):
 
 
 def _counted(fn, payload, cache: CharacteristicCache, job):
-    """``fn``'s result and the matchings, hits and misses it caused."""
-    m0, h0, x0 = matching.solve_calls(), cache.hits, cache.misses
+    """``fn``'s result and the matchings, searches, hits and misses it caused."""
+    m0, s0 = matching.solve_calls(), matching.search_calls()
+    h0, x0 = cache.hits, cache.misses
     out = fn(payload, cache, job)
-    return out, (matching.solve_calls() - m0, cache.hits - h0, cache.misses - x0)
+    return out, (
+        matching.solve_calls() - m0,
+        matching.search_calls() - s0,
+        cache.hits - h0,
+        cache.misses - x0,
+    )
 
 
 def _call(args):
@@ -68,7 +75,7 @@ def run_jobs(
     """Run ``fn(payload, cache, job)`` for every job.
 
     Returns the results in job order and the jobs' summed work,
-    ``{"matchings": m, "cache": {"hits": h, "misses": x}}``.
+    ``{"matchings": m, "searches": s, "cache": {"hits": h, "misses": x}}``.
     """
     if workers <= 1 or len(jobs) <= 1:
         counted = [_counted(fn, payload, cache, job) for job in jobs]
@@ -84,6 +91,6 @@ def run_jobs(
             initargs=(payload,),
         ) as pool:
             counted = list(pool.map(_call, [(fn, job) for job in jobs]))
-    m, h, x = (sum(c[i] for _, c in counted) for i in range(3))
-    work = {"matchings": m, "cache": {"hits": h, "misses": x}}
+    m, s, h, x = (sum(c[i] for _, c in counted) for i in range(4))
+    work = {"matchings": m, "searches": s, "cache": {"hits": h, "misses": x}}
     return [out for out, _ in counted], work

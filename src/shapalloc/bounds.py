@@ -5,11 +5,22 @@ coalitions C' not containing i are grouped by their profile P' = C' & neigh(i).
 For each profile the marginal of i is evaluated at the two extremes of the
 class -- with all non-neighbors present (lower bound, by anti-monotonicity)
 or with only P' present (upper bound) -- and weighted by the total Shapley
-mass y of the class.  Each marginal is ``marginal_restricted``: one greedy
-plus at most k augmentations, so the cost is two of those per subset of
-neigh(i), and the sweep is reserved for agents with at most ``max_neigh``
-neighbors; the rest fall back on the always-valid interval
-[marg(i, N), opt({i})].  No worth is looked up in a cache.
+mass y of the class.
+
+One greedy gives an optimal allocation of the whole game, and every job
+starts from a copy of it.  Removing i from the copy gives marg(i, N), and
+removing i's neighbors too leaves an optimum of the non-neighbors.  The
+sweep then visits the subsets of neigh(i) in Gray order carrying two
+optimal allocations, one of rest | P' and one of P' (from the empty
+allocation): each step adds or removes the flipped neighbor in both, and
+each marginal is read by adding i and removing it again
+(``matching.add_agent`` and ``matching.remove_agent``), at most 2k
+searches per side.  The marginals are the optimum's unique per-unit
+increments, so they do not depend on which optimum is carried: they equal
+``marginal_restricted`` bit for bit, whatever the worker count.  The sweep
+is reserved for agents with at most ``max_neigh`` neighbors; the rest fall
+back on the always-valid interval [marg(i, N), opt({i})].  No worth is
+looked up in a cache.
 """
 
 from __future__ import annotations
@@ -19,12 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import _pool
-from .model import (
-    AllocationScenario,
-    CharacteristicCache,
-    iter_bits,
-    marginal_restricted,
-)
+from .matching import add_agent, greedy, remove_agent
+from .model import AllocationScenario, CharacteristicCache, iter_bits
 from .report import AgentResult, ShapleyReport
 
 DEFAULT_MAX_NEIGH = 19
@@ -76,30 +83,57 @@ def gray_subsets(items: list[int]):
         yield mask
 
 
+def _optimum_job(scenario, cache, coalition):
+    return greedy(scenario, coalition)
+
+
 def _bounds_job(payload, cache, job):
-    scenario, max_neigh = payload
+    scenario, max_neigh, (holder, held) = payload
     i = job
     neigh_mask = scenario.graph.neighbor_masks[i]
     deg = neigh_mask.bit_count()
-    full = scenario.full_mask
-    bit = 1 << i
     solo = float(scenario.solo_value[i])
 
+    # the grand optimum, copied: removing i gives marg(i, N), and removing
+    # the neighbors too gives an optimum of the non-neighbors
+    low = holder.copy(), {a: goods.copy() for a, goods in held.items()}
+    grand_marginal = remove_agent(scenario, *low, i)
     if deg > max_neigh:
-        return i, marginal_restricted(scenario, i, full & ~bit), solo, True
+        return i, grand_marginal, solo, True
 
     n = scenario.n
     l = n - deg - 1
-    rest = full & ~neigh_mask & ~bit  # non-neighbors of i
     neighbors = list(iter_bits(neigh_mask))
     y_by_size = [profile_weight(l, p, deg - p, n) for p in range(deg + 1)]
 
+    # optimal allocations of rest | P and of P, as (holder, held)
+    for j in neighbors:
+        remove_agent(scenario, *low, j)
+    high: tuple[dict, dict] = ({}, {})
     lb = ub = 0.0
+    prev = 0
     for p_mask in gray_subsets(neighbors):
         y = y_by_size[p_mask.bit_count()]
-        ub += y * marginal_restricted(scenario, i, p_mask)
-        lb += y * marginal_restricted(scenario, i, rest | p_mask)
+        if not p_mask:
+            # no neighbor present: both marginals are the solo value
+            ub += y * solo
+            lb += y * solo
+            continue
+        j = (p_mask ^ prev).bit_length() - 1
+        step = add_agent if p_mask >> j & 1 else remove_agent
+        step(scenario, *low, j)
+        step(scenario, *high, j)
+        prev = p_mask
+        ub += y * _probe(scenario, high, i)
+        lb += y * _probe(scenario, low, i)
     return i, lb, ub, False
+
+
+def _probe(scenario, allocation, i) -> float:
+    """Marginal of ``i`` to a carried optimum, which is left optimal."""
+    gain = add_agent(scenario, *allocation, i)
+    remove_agent(scenario, *allocation, i)
+    return gain
 
 
 def shapley_bounds(
@@ -114,16 +148,20 @@ def shapley_bounds(
     Agents with more than ``max_neigh`` neighbors get the trivial interval
     and are flagged ``fallback=True``.  Unknown ids in ``agents`` raise
     ``ScenarioError``.  The sweep looks no worth up, so ``meta["cache"]``
-    reads no hits and no misses whatever ``cache`` is passed.
+    reads no hits and no misses whatever ``cache`` is passed;
+    ``meta["matchings"]`` counts the one greedy and ``meta["searches"]``
+    the jobs' add and remove searches.
     """
     t0 = time.perf_counter()
     if cache is None:
         cache = CharacteristicCache()
     mask = scenario.full_mask if agents is None else scenario.mask_of(agents)
     indices = list(iter_bits(mask))
+    [grand], base = _pool.run_jobs(_optimum_job, [scenario.full_mask], scenario, cache)
     results, work = _pool.run_jobs(
-        _bounds_job, indices, (scenario, max_neigh), cache, workers=workers
+        _bounds_job, indices, (scenario, max_neigh, grand), cache, workers=workers
     )
+    work["matchings"] += base["matchings"]
     records = []
     fallbacks = 0
     for i, lb, ub, fell_back in results:

@@ -17,11 +17,15 @@ function of the scenario and the coalition.  Every solver in the package
 funnels through this kernel.
 
 ``add_agent`` extends an optimal allocation by one agent with at most ``k``
-augmenting searches; ``marginal_gain`` and the permutation sampler's walk
-are built on it.  ``marginal_gain`` is the one route for every marginal
-contribution outside the worth table and exact enumeration: separability,
-pruning, the bounds and the range sampler all reach it through
-``model.marginal_restricted``.
+augmenting searches, and ``remove_agent`` is its mirror: it takes one member
+out with at most ``k`` searches.  Both return the member's marginal
+contribution, and both leave an optimal allocation behind, so one optimum
+from the greedy can be carried through many coalitions that differ by one
+member at a time.  ``marginal_gain`` (the greedy plus ``add_agent``) serves
+the range sampler's samples through ``model.marginal_restricted``;
+``removal_marginals`` gives every member's marginal to the rest of a
+coalition from one greedy, for separability, pruning and the range
+sampler's ranges; the bounds sweep carries two optima through its subsets.
 """
 
 from __future__ import annotations
@@ -36,16 +40,22 @@ from .model import Coalition, ScenarioError, mask_to_indices
 if TYPE_CHECKING:  # pragma: no cover
     from .model import AllocationScenario
 
-# matchings performed in this process; jobs report deltas so parallel runs
-# can still aggregate a meaningful total
+# greedy matchings and add/remove searches run in this process; jobs report
+# deltas so parallel runs can still aggregate a meaningful total
 _SOLVE_CALLS = 0
+_SEARCH_CALLS = 0
 
 
 def solve_calls() -> int:
     return _SOLVE_CALLS
 
 
-def _greedy(
+def search_calls() -> int:
+    """Calls of ``add_agent`` and ``remove_agent`` (one per call, not per unit)."""
+    return _SEARCH_CALLS
+
+
+def greedy(
     scenario: "AllocationScenario", coalition: Coalition
 ) -> tuple[dict[int, int], dict[int, list[int]]]:
     """An optimal allocation for the coalition: each held good's holder, and
@@ -123,7 +133,7 @@ def optimal_value_only(scenario: "AllocationScenario", coalition: Coalition) -> 
         return 0.0
     if coalition & (coalition - 1) == 0:
         return float(scenario.solo_value[coalition.bit_length() - 1])
-    return _value(scenario, _greedy(scenario, coalition)[0])
+    return _value(scenario, greedy(scenario, coalition)[0])
 
 
 @dataclass
@@ -177,6 +187,8 @@ def add_agent(
     most valuable reachable free good.  Gains are non-increasing, so the
     greedy sum over at most k units is exact (Edmonds 1971).
     """
+    global _SEARCH_CALLS
+    _SEARCH_CALLS += 1
     positive, values = scenario.positive_interest, scenario.good_value_list
     own = positive[i]
     mine = held[i] = []
@@ -229,6 +241,107 @@ def add_agent(
     return total
 
 
+def remove_agent(
+    scenario: "AllocationScenario",
+    holder: dict[int, int],
+    held: dict[int, list[int]],
+    i: int,
+) -> float:
+    """Remove member ``i`` from an optimal allocation in place; return the loss.
+
+    The mirror of ``add_agent``: on entry ``holder`` and ``held`` (with a key
+    for every member) describe an optimal allocation for a coalition S with
+    ``i``, on return one for S - i; the loss is v(S) - v(S - i).
+
+    ``i`` gives up one capacity unit at a time, and each changes the optimum
+    by one alternating path (Leonard 1983): a member interested in one of
+    ``i``'s goods takes it and gives up one of its own, and so on, until a
+    member with room takes a good (no loss) or a good is dropped.  A
+    breadth-first search from ``i``'s goods finds the cheapest such path: 0
+    if it reaches a member holding fewer than ``k`` goods, else the least
+    valuable good visited (the first in breadth-first order on ties).  The
+    losses are the unit gains ``add_agent`` finds when ``i`` comes back, so
+    they are summed in descending order to give ``marginal_gain(S - i, i)``
+    bit for bit.  Call ``add_agent`` afterwards to probe without keeping the
+    change.
+    """
+    global _SEARCH_CALLS
+    _SEARCH_CALLS += 1
+    k = scenario.k
+    claimers, values = scenario.good_claimers, scenario.good_value_list
+    mine = held.pop(i)
+    losses: list[float] = []
+    while mine:
+        # parent[g] is the good that g's holder takes when it gives g up,
+        # -1 for i's own goods; every member is visited once, so every good
+        # is queued once
+        parent = {g: -1 for g in mine}
+        queue = list(mine)
+        seen: set[int] = set()
+        cheapest = queue[0]
+        taker = -1
+        for g in queue:
+            if values[g] < values[cheapest]:
+                cheapest = g
+            for b in claimers[g]:
+                if b in seen or b not in held:
+                    continue
+                seen.add(b)
+                theirs = held[b]
+                if len(theirs) < k:
+                    taker = b
+                    break
+                for g2 in theirs:
+                    parent[g2] = g
+                    queue.append(g2)
+            if taker >= 0:
+                break
+        if taker < 0:
+            # drop the cheapest good; its holder takes the good before it
+            g = cheapest
+            h = holder.pop(g)
+            losses.append(values[g])
+            if parent[g] == -1:
+                mine.remove(g)
+                continue
+            held[h].remove(g)
+            taker, g = h, parent[g]
+        # shift the chain back to i: taker takes g from its holder, who
+        # takes the good before g, and so on
+        while True:
+            prev = parent[g]
+            h = holder[g]
+            holder[g] = taker
+            held[taker].append(g)
+            if prev == -1:
+                mine.remove(g)
+                break
+            held[h].remove(g)
+            taker, g = h, prev
+    return sum(sorted(losses, reverse=True), 0.0)
+
+
+def removal_marginals(scenario: "AllocationScenario", coalition: Coalition) -> dict[int, float]:
+    """``{i: v(coalition) - v(coalition - i)}`` for every member ``i``.
+
+    One greedy for the coalition, then per member ``remove_agent`` and
+    ``add_agent`` to restore an optimum, so each marginal costs at most 2k
+    searches.  A member with no neighbor in the coalition gets its solo
+    value.  Bit for bit equal to ``model.marginal_restricted(scenario, i,
+    coalition - i)``.
+    """
+    neigh = scenario.graph.neighbor_masks
+    holder, held = greedy(scenario, coalition)
+    out: dict[int, float] = {}
+    for i in mask_to_indices(coalition, scenario.n).tolist():
+        if neigh[i] & coalition == 0:
+            out[i] = float(scenario.solo_value[i])
+            continue
+        out[i] = remove_agent(scenario, holder, held, i)
+        add_agent(scenario, holder, held, i)
+    return out
+
+
 def marginal_gain(scenario: "AllocationScenario", coalition: Coalition, i: int) -> float:
     """opt(coalition + i) - opt(coalition), without valuing either side.
 
@@ -241,7 +354,7 @@ def marginal_gain(scenario: "AllocationScenario", coalition: Coalition, i: int) 
         raise ScenarioError(f"agent index {i} already belongs to the coalition")
     if not scenario.positive_goods(i):
         return 0.0
-    holder, held = _greedy(scenario, coalition)
+    holder, held = greedy(scenario, coalition)
     return add_agent(scenario, holder, held, i)
 
 
@@ -258,7 +371,7 @@ def optimal_allocation(
             assignment[scenario.agents[i]].add(scenario.good_ids[j])
         value = float(scenario.solo_value[i])
     else:
-        holder, _ = _greedy(scenario, coalition)
+        holder, _ = greedy(scenario, coalition)
         for g, a in holder.items():
             assignment[scenario.agents[a]].add(scenario.good_ids[g])
         value = _value(scenario, holder)

@@ -17,6 +17,11 @@ more work for the next:
 
 The result is a partition: every original agent is either resolved with a
 final value or belongs to exactly one residual component.
+
+Stages 3 and 4 need every agent's marginal v(C) - v(C - i) to its whole
+component C.  Each takes them from ``matching.removal_marginals``: one
+greedy for C, then each member removed from that optimum and added back,
+instead of one greedy per agent.
 """
 
 from __future__ import annotations
@@ -26,12 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import (
-    AllocationScenario,
-    connected_components,
-    iter_bits,
-    marginal_restricted,
-)
+from .matching import removal_marginals
+from .model import AllocationScenario, connected_components, iter_bits
 
 REL_TOL = 1e-9
 
@@ -131,9 +132,10 @@ def separate_singletons(
     could ever get alone.  Anti-monotonicity of marginals then pins every one
     of its marginal contributions, hence its Shapley value, to opt({i}).
     Removing such an agent can create new qualifiers, so the test is repeated
-    on the shrinking remainder.  Each marginal is ``marginal_restricted`` to
-    the rest of the agent's component: one greedy for that rest, then at
-    most k augmentations adding the agent.
+    on the shrinking remainder.  Each pass takes the marginals of every
+    component's members to the rest of their component from
+    ``removal_marginals``: one greedy per component, then at most k
+    searches removing each member and k adding it back.
     """
     neigh = scenario.graph.neighbor_masks
     live = scenario.full_mask
@@ -149,9 +151,10 @@ def separate_singletons(
                 live &= ~comp
                 changed = True
                 continue
+            margs = removal_marginals(scenario, comp)
             for i in members:
                 solo = float(scenario.solo_value[i])
-                marg = marginal_restricted(scenario, i, comp & ~(1 << i))
+                marg = margs[i]
                 if marg >= solo - tol * max(1.0, solo):
                     resolved[scenario.agents[i]] = solo
                     live &= ~(1 << i)
@@ -173,10 +176,11 @@ def prune_useless_goods(
     grand coalition: whatever coalition i joins, an optimal allocation never
     needs g for i.  (With capacity 2 the combination degenerates to g plus
     the single best alternative.)  Only i's own interest set changes; other
-    agents keep the good.
+    agents keep the good.  The grand marginals come from one greedy and
+    ``removal_marginals``.
     """
     k = scenario.k
-    full = scenario.full_mask
+    margs = removal_marginals(scenario, scenario.full_mask)
     pruned: list[tuple[str, str]] = []
     new_interest: dict[str, list[str]] = {}
     for i, a in enumerate(scenario.agents):
@@ -184,7 +188,7 @@ def prune_useless_goods(
         if not row:
             new_interest[a] = []
             continue
-        marg = marginal_restricted(scenario, i, full & ~(1 << i))
+        marg = margs[i]
         vals = np.asarray([scenario.good_values[j] for j in row])
         order = np.argsort(-vals, kind="stable")
         keep: list[int] = []

@@ -52,6 +52,15 @@ def _job_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
+def _config(cls, cfg, kwargs):
+    """``cfg``, or a ``cls`` built from the keyword options; never both."""
+    if cfg is None:
+        return cls(**kwargs)
+    if kwargs:
+        raise TypeError("pass either cfg or keyword options, not both")
+    return cfg
+
+
 def _run_batched(job_fn, budgets, payload, cache, workers: int):
     """Run sampling jobs over per-key budgets split into batches.
 
@@ -203,9 +212,11 @@ def fpras_shapley(
     and the budget covers its 2^n entries.  The mode sets only the speed:
     both credit an agent none of whose neighbors precede it with its solo
     value, and ``meta["shortcut_hits"]`` counts those steps.
+
+    Options come either as ``cfg`` or as keywords of ``FprasConfig``;
+    passing both raises ``TypeError``.
     """
-    if cfg is None:
-        cfg = FprasConfig(**kwargs)
+    cfg = _config(FprasConfig, cfg, kwargs)
     t0 = time.perf_counter()
     n = scenario.n
     if n == 0:
@@ -290,12 +301,16 @@ class AgentRange:
 
 
 def compute_ranges(scenario: AllocationScenario) -> dict[str, AgentRange]:
-    """Per-agent marginal-contribution ranges r_i = opt({i}) - marg(i, N)."""
-    full = scenario.full_mask
+    """Per-agent marginal-contribution ranges r_i = opt({i}) - marg(i, N).
+
+    Every marg(i, N) comes from one greedy for N, each agent removed from
+    that optimum and added back (``matching.removal_marginals``).
+    """
+    margs = matching.removal_marginals(scenario, scenario.full_mask)
     out: dict[str, AgentRange] = {}
     for i, a in enumerate(scenario.agents):
         solo = float(scenario.solo_value[i])
-        marg = marginal_restricted(scenario, i, full & ~(1 << i))
+        marg = margs[i]
         out[a] = AgentRange(solo=solo, grand_marginal=marg, width=max(0.0, solo - marg))
     return out
 
@@ -372,11 +387,13 @@ def range_sampler_shapley(
     a uniform subset of the other agents of that size; under this law the
     expected marginal contribution is exactly the Shapley value.  Agents with
     zero range need no samples at all: every marginal equals opt({i}).
-    Ranges and samples are ``marginal_restricted`` calls, which look no worth
-    up, so ``meta["cache"]`` reads no hits and no misses.
+    The ranges come from ``compute_ranges`` and each sample is one
+    ``marginal_restricted`` call; neither looks a worth up, so
+    ``meta["cache"]`` reads no hits and no misses.  Options come either as
+    ``cfg`` or as keywords of ``RangeSamplerConfig``; passing both raises
+    ``TypeError``.
     """
-    if cfg is None:
-        cfg = RangeSamplerConfig(**kwargs)
+    cfg = _config(RangeSamplerConfig, cfg, kwargs)
     t0 = time.perf_counter()
     n = scenario.n
     if n == 0:

@@ -260,6 +260,7 @@ def test_criterion_7_range_sampler_budget_and_failures():
     _ok(7, f"budgets match formula; failure fraction {fraction:.4f} <= {delta} in {wall:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_large_market_surrogate():
     t0 = time.perf_counter()
     scn = sa.generate(**FUNNEL)

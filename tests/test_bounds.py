@@ -3,6 +3,8 @@ import pytest
 
 import shapalloc as sa
 
+from shapalloc.bounds import DEFAULT_MAX_NEIGH, gray_subsets
+
 from conftest import exact_values, random_scenario
 from oracles import profile_mass_explicit
 
@@ -143,10 +145,38 @@ class TestShapleyBounds:
         assert [r.agent for r in rep.agents] == sorted(chosen, key=scn.agents.index)
 
     def test_worker_count_does_not_change_results(self):
-        scn = random_scenario(350, n=9)
-        one = [(r.lb, r.ub) for r in sa.shapley_bounds(scn, workers=1).agents]
-        many = [(r.lb, r.ub) for r in sa.shapley_bounds(scn, workers=3).agents]
-        assert one == many
+        # the second instance's sweeps reach degree 6 at k = 3, so the
+        # carried optima pass through many add and remove steps
+        for scn in (random_scenario(350, n=9), random_scenario(370, n=12, k=3)):
+            assert max(scn.graph.degree(i) for i in range(scn.n)) >= 4
+            one = [(r.lb, r.ub) for r in sa.shapley_bounds(scn, workers=1).agents]
+            many = [(r.lb, r.ub) for r in sa.shapley_bounds(scn, workers=3).agents]
+            assert one == many
+
+    def test_carried_sweep_matches_per_subset_marginals(self):
+        # the sweep as one marginal_restricted per side and subset: the
+        # carried optima must give the same (lb, ub) bit for bit
+        def per_subset(scn, i, max_neigh):
+            neigh, n = scn.graph.neighbor_masks[i], scn.n
+            deg = neigh.bit_count()
+            others = scn.full_mask & ~(1 << i)
+            if deg > max_neigh:
+                return sa.marginal_restricted(scn, i, others), float(scn.solo_value[i])
+            rest = others & ~neigh
+            lb = ub = 0.0
+            for p in gray_subsets(list(sa.iter_bits(neigh))):
+                y = sa.profile_weight(n - deg - 1, p.bit_count(), deg - p.bit_count(), n)
+                ub += y * sa.marginal_restricted(scn, i, p)
+                lb += y * sa.marginal_restricted(scn, i, rest | p)
+            return lb, ub
+
+        for seed in range(380, 404):
+            scn = random_scenario(seed, n=10, k=1 + seed % 3)
+            max_neigh = 3 if seed % 4 == 0 else DEFAULT_MAX_NEIGH
+            rep = sa.shapley_bounds(scn, max_neigh=max_neigh)
+            for rec in rep.agents:
+                i = scn.agent_index[rec.agent]
+                assert (rec.lb, rec.ub) == per_subset(scn, i, max_neigh), (seed, i)
 
     def test_reference_game_bounds_collapse(self, ref_game):
         rep = sa.shapley_bounds(ref_game)

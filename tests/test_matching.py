@@ -187,3 +187,49 @@ class TestMarginalGain:
             ["x", "y"], [("g", 2.0)], {"x": ["g"], "y": []}, k=1
         )
         assert matching.marginal_gain(scn, scn.mask_of(["x"]), scn.agent_index["y"]) == 0.0
+
+
+def test_remove_agent_exhaustive_against_brute_force():
+    # every member of every mask of tie-heavy instances: the loss is the drop
+    # in the optimum, the allocation left behind is feasible and optimal for
+    # the rest, and the float is the one marginal_gain computes
+    for k in (1, 2, 3):
+        for seed in range(4):
+            scn = sa.generate(agents=6, goods_per_agent=2.0, coauthor_prob=0.5,
+                              k=k, seed=100 * k + seed)
+            opt = {m: brute_force_opt(scn, m) for m in range(1 << scn.n)}
+            for m in range(1, 1 << scn.n):
+                for i in sa.iter_bits(m):
+                    rest = m & ~(1 << i)
+                    holder, held = matching.greedy(scn, m)
+                    loss = matching.remove_agent(scn, holder, held, i)
+                    assert loss == pytest.approx(opt[m] - opt[rest], rel=1e-12, abs=1e-12)
+                    assert loss == matching.marginal_gain(scn, rest, i), (k, seed, m, i)
+                    assert set(held) == set(sa.iter_bits(rest))
+                    assert holder == {g: a for a, goods in held.items() for g in goods}
+                    alloc = matching.Allocation(assignment={
+                        scn.agents[a]: frozenset(scn.good_ids[g] for g in goods)
+                        for a, goods in held.items()
+                    })
+                    alloc.validate(scn, rest)
+                    assert alloc.value(scn) == pytest.approx(opt[rest], rel=1e-12, abs=1e-12)
+
+
+def test_removal_marginals_match_restricted():
+    cases = []
+    for seed in range(150, 162):
+        scn = random_scenario(seed, n=9, k=1 + seed % 3)
+        rng = np.random.default_rng(seed)
+        cases += [(scn, scn.full_mask)] + [
+            (scn, int(m)) for m in rng.integers(1, 1 << scn.n, size=6)
+        ]
+    big = sa.generate(agents=150, coauthor_prob=0.55, max_claimers=2,
+                      value_weights=(0.2, 0.2, 0.2, 0.2, 0.2), k=3, seed=77)
+    comp = max(big.graph.components(), key=int.bit_count)
+    assert comp.bit_count() > 40
+    cases.append((big, comp))
+    for scn, m in cases:
+        got = matching.removal_marginals(scn, m)
+        assert sorted(got) == list(sa.iter_bits(m))
+        for i, marg in got.items():
+            assert marg == sa.marginal_restricted(scn, i, m & ~(1 << i)), (m, i)

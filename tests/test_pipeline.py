@@ -41,3 +41,15 @@ def test_solve_on_a_scenario_matches_the_cli_report(tmp_path, sampler):
         if rec.kind == "estimate":
             assert rec.lb <= rec.value <= rec.ub
 
+
+
+def test_solve_timings_split_the_wall_time():
+    scn = sa.generate(agents=40, coauthor_prob=0.5, max_claimers=2, seed=11)
+    meta = sa.solve(scn, exact_limit=4, sampler="range", epsilon=0.4, delta=0.1,
+                    threads=1).meta
+    timings = meta["timings"]
+    assert set(timings) == {"preprocess", "exact", "bounds", "sampler"}
+    assert meta["components_exact"] > 0 and meta["components_sampled"] > 0
+    assert all(t >= 0.0 for t in timings.values())
+    assert timings["bounds"] > 0.0 and timings["sampler"] > 0.0
+    assert sum(timings.values()) <= meta["wall_time"]

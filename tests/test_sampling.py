@@ -267,11 +267,14 @@ def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
         return sa.fpras_shapley(scn, cache, cfg=cfg)
 
     if solver in ("range", "bounds"):
-        # every marginal is one greedy plus augmentations, with no lookup
-        for workers in (1, 2):
-            meta = run(workers, sa.CharacteristicCache()).meta
+        # marginals come from greedies and add/remove searches, with no
+        # lookup, and the jobs run the same searches at any worker count
+        metas = [run(workers, sa.CharacteristicCache()).meta for workers in (1, 2)]
+        for meta in metas:
             assert meta["cache"] == {"hits": 0, "misses": 0}
             assert meta["matchings"] > 0
+            assert meta["searches"] > 0
+        assert metas[0]["searches"] == metas[1]["searches"]
         return
     two = run(2).meta["cache"]
     # lookups the passed cache sees while the sampling jobs run
@@ -299,3 +302,12 @@ def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
         assert loop["mode"] == "loop"
         assert loop["cache"] == {"hits": 0, "misses": 0}
         assert loop["matchings"] == 0
+
+
+def test_cfg_and_keyword_options_together_rejected(ref_game):
+    fpras_cfg = sa.FprasConfig(epsilon=0.5, delta=0.1, seed=1)
+    with pytest.raises(TypeError, match="not both"):
+        sa.fpras_shapley(ref_game, cfg=fpras_cfg, seed=99, runs=7)
+    range_cfg = sa.RangeSamplerConfig(epsilon=0.5, delta=0.1)
+    with pytest.raises(TypeError, match="not both"):
+        sa.range_sampler_shapley(ref_game, cfg=range_cfg, mode="rel")
