@@ -28,7 +28,8 @@ print(f"\npermutation sampler: {fpras.meta['contributions_per_run']} contributio
 
 ranges = sa.compute_ranges(comp)
 rng = sa.range_sampler_shapley(comp, cache, epsilon=0.1, delta=0.05, seed=1)
-print(f"range sampler: {rng.meta['total_samples']} samples total; "
+print(f"range sampler: {rng.meta['total_samples']} samples total from "
+      f"{rng.meta['walks']} shared walks ({rng.meta['walk_steps']} steps); "
       f"{sum(1 for r in ranges.values() if r.width == 0.0)} agents needed none")
 
 print(f"\n{'agent':<8} {'fpras':>9} {'range':>9}" + ("  exact" if exact else ""))

@@ -21,11 +21,13 @@ augmenting searches, and ``remove_agent`` is its mirror: it takes one member
 out with at most ``k`` searches.  Both return the member's marginal
 contribution, and both leave an optimal allocation behind, so one optimum
 from the greedy can be carried through many coalitions that differ by one
-member at a time.  ``marginal_gain`` (the greedy plus ``add_agent``) serves
-the range sampler's samples through ``model.marginal_restricted``;
-``removal_marginals`` gives every member's marginal to the rest of a
-coalition from one greedy, for separability, pruning and the range
-sampler's ranges; the bounds sweep carries two optima through its subsets.
+member at a time.  Both samplers' permutation walks carry the prefix's
+optimum through ``add_agent``, one call per step; ``marginal_gain`` (the
+greedy plus ``add_agent``) serves one-off marginals through
+``model.marginal_restricted``; ``removal_marginals`` gives every member's
+marginal to the rest of a coalition from one greedy, for separability,
+pruning and the range sampler's ranges; the bounds sweep carries two optima
+through its subsets.
 """
 
 from __future__ import annotations

@@ -11,15 +11,19 @@ Two samplers with different guarantees:
   by a per-agent median and finally scaled so the total matches the
   grand-coalition worth.
 
-* ``range_sampler_shapley`` fixes, per agent, the number of samples needed by
-  Hoeffding's inequality given the spread r_i = opt({i}) - marg(i, N) of its
-  marginal contributions, then averages marginals over coalitions drawn from
-  the permutation-prefix law (uniform size, then a uniform subset of that
-  size), which makes the estimator unbiased for the Shapley value.
+* ``range_sampler_shapley`` fixes, per agent, the number m_i of samples
+  needed by Hoeffding's inequality given the spread r_i = opt({i}) -
+  marg(i, N) of its marginal contributions (Maleki et al. 2013), then
+  averages marginals to coalitions drawn from the permutation-prefix law,
+  which makes the estimator unbiased for the Shapley value.  The draws come
+  from shared permutation walks (Castro, Gomez & Tejada 2009): walk t gives
+  every agent j with t < m_j one contribution, so each agent averages m_j
+  independent draws, each one step of a shared walk.
 
-Randomness is confined to per-job streams keyed by (master seed, job index),
-and job partials merge in job order, so reports are identical for any worker
-count.
+The permutation sampler's loop mode and the range sampler walk in one job,
+``_walk_job``.  Randomness is confined to per-job streams keyed by (master
+seed, sampler, key, batch), and job partials merge in job order, so reports
+are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -27,22 +31,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 from . import _pool, matching
-from .model import (
-    AllocationScenario,
-    CharacteristicCache,
-    char_value,
-    marginal_restricted,
-    mask_from_bool,
-)
+from .model import AllocationScenario, CharacteristicCache, char_value
 from .report import AgentResult, ShapleyReport
 
-# samples per job: permutations for the permutation sampler, coalitions for
-# the range sampler
+# permutations walked (or read off the worth table) per job
 BATCH = 512
 # the permutation sampler reads marginals off a worth table up to this size
 TABLE_LIMIT = 14
@@ -64,12 +62,13 @@ def _config(cls, cfg, kwargs):
 def _run_batched(job_fn, budgets, payload, cache, workers: int):
     """Run sampling jobs over per-key budgets split into batches.
 
-    ``budgets`` pairs each key (a run, or an agent) with its sample count.
-    Each job is ``(key, batch index, count)`` with at most ``BATCH`` samples
-    and returns ``(key, part)``; the permutation sampler's jobs append their
-    shortcut hits.  Parts are summed per key and hits over all jobs, both in
-    job order, so the merge is the same for any worker count.  Returns the
-    parts, the hits and the runner's work counts.
+    ``budgets`` pairs each key (a run of the permutation sampler, or the
+    range sampler's one set of walks) with its count of walks.  Each job is
+    ``(key, batch index, count)`` with at most ``BATCH`` walks and returns
+    ``(key, part, shortcut hits, steps)``.  Parts are summed per key, and
+    hits and steps over all jobs, in job order, so the merge is the same
+    for any worker count.  Returns the parts, the hits, the steps and the
+    runner's work counts.
     """
     jobs = [
         (key, b, min(BATCH, budget - start))
@@ -78,11 +77,12 @@ def _run_batched(job_fn, budgets, payload, cache, workers: int):
     ]
     results, work = _pool.run_jobs(job_fn, jobs, payload, cache, workers=workers)
     parts: dict = {}
-    hits = 0
-    for key, part, *job_hits in results:
+    hits = steps = 0
+    for key, part, job_hits, job_steps in results:
         parts[key] = parts.get(key, 0.0) + part
-        hits += sum(job_hits)
-    return parts, hits, work
+        hits += job_hits
+        steps += job_steps
+    return parts, hits, steps, work
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +154,39 @@ def permutation_walk(
         yield j, contrib, alone
 
 
-def _fpras_loop_job(payload, cache, job):
-    scenario, seed = payload
-    run, batch_idx, count = job
-    rng = _job_rng(seed, 0, run, batch_idx)
+def _walk_job(payload, cache, job):
+    """Per-agent sums of contributions over one batch of permutation walks.
+
+    With ``caps`` None (the permutation sampler) every step counts and the
+    stream is ``(seed, 0, run, batch)``.  With per-agent ``caps`` (the range
+    sampler) the stream is ``(seed, 1, 0, batch)``, walk t of the sampler is
+    ``batch * BATCH + s``, agent j's contribution counts iff t < caps[j], and
+    the walk stops once the last agent still owed one is placed.  Returns
+    the key, the sums, the shortcut hits and the steps walked.
+    """
+    scenario, seed, caps = payload
+    key, batch_idx, count = job
+    rng = _job_rng(seed, 0 if caps is None else 1, key, batch_idx)
     n = scenario.n
     sums = [0.0] * n
     hits = 0
-    for _ in range(count):
+    steps = 0
+    for s in range(count):
         perm = rng.permutation(n).tolist()
-        for j, contrib, alone in permutation_walk(scenario, perm, {}, {}):
-            sums[j] += contrib
+        if caps is None:
+            for j, contrib, alone in permutation_walk(scenario, perm, {}, {}):
+                sums[j] += contrib
+                hits += alone
+            steps += n
+            continue
+        t = batch_idx * BATCH + s
+        stop = 1 + max(pos for pos, j in enumerate(perm) if caps[j] > t)
+        for j, contrib, alone in islice(permutation_walk(scenario, perm, {}, {}), stop):
             hits += alone
-    return run, np.asarray(sums), hits
+            if caps[j] > t:
+                sums[j] += contrib
+        steps += stop
+    return key, np.asarray(sums), hits, steps
 
 
 def _worth_table_job(scenario, cache, n):
@@ -189,7 +209,7 @@ def _fpras_table_job(payload, cache, job):
     contrib = np.where(disconnected, solo_arr[perms], contrib)
     sums = np.zeros(n, dtype=np.float64)
     np.add.at(sums, perms.ravel(), contrib.ravel())
-    return run, sums, int(disconnected.sum())
+    return run, sums, int(disconnected.sum()), count * n
 
 
 def fpras_shapley(
@@ -238,10 +258,10 @@ def fpras_shapley(
             n,
             cfg.seed,
         )
-        sums, shortcut_hits, _ = _run_batched(_fpras_table_job, budgets, payload, cache, 1)
+        sums, shortcut_hits, _, _ = _run_batched(_fpras_table_job, budgets, payload, cache, 1)
     else:
-        sums, shortcut_hits, work = _run_batched(
-            _fpras_loop_job, budgets, (scenario, cfg.seed), cache, cfg.workers
+        sums, shortcut_hits, _, work = _run_batched(
+            _walk_job, budgets, (scenario, cfg.seed, None), cache, cfg.workers
         )
     run_sums = np.vstack([sums[run] for run in range(cfg.runs)])
 
@@ -353,26 +373,8 @@ class RangeSamplerConfig:
             raise ValueError(f"mode must be 'abs' or 'rel', got {self.mode!r}")
 
 
-def _range_job(payload, cache, job):
-    scenario, seed = payload
-    i, batch_idx, count = job
-    rng = _job_rng(seed, 1, i, batch_idx)
-    n = scenario.n
-    others = np.delete(np.arange(n, dtype=np.intp), i)
-    sizes = rng.integers(0, n, size=count)
-    subsets = rng.permuted(np.tile(others, (count, 1)), axis=1)
-    total = 0.0
-    members = np.zeros(n, dtype=bool)
-    for t in range(count):
-        size = sizes[t]
-        if size == 0:
-            mask = 0
-        else:
-            members[:] = False
-            members[subsets[t, :size]] = True
-            mask = mask_from_bool(members)
-        total += marginal_restricted(scenario, i, mask)
-    return i, total
+def _ranges_job(scenario, cache, _):
+    return compute_ranges(scenario)
 
 
 def range_sampler_shapley(
@@ -383,15 +385,27 @@ def range_sampler_shapley(
 ) -> ShapleyReport:
     """Estimate each agent's Shapley value with a per-agent sample budget.
 
-    Coalitions are drawn with a uniformly random size in {0..n-1} followed by
-    a uniform subset of the other agents of that size; under this law the
-    expected marginal contribution is exactly the Shapley value.  Agents with
-    zero range need no samples at all: every marginal equals opt({i}).
-    The ranges come from ``compute_ranges`` and each sample is one
-    ``marginal_restricted`` call; neither looks a worth up, so
-    ``meta["cache"]`` reads no hits and no misses.  Options come either as
-    ``cfg`` or as keywords of ``RangeSamplerConfig``; passing both raises
-    ``TypeError``.
+    Agent i's m_i samples are its marginals to the agents before it in m_i
+    independent uniform permutations; under this law (a uniformly random
+    size in {0..n-1}, then a uniform subset of the others of that size) the
+    expected marginal is exactly the Shapley value.  Agents with zero range
+    need no samples at all: every marginal equals opt({i}).
+
+    ``max(m_i)`` permutations are walked with ``permutation_walk``, each
+    carrying the prefix's optimum, so a draw costs one solo shortcut or one
+    ``add_agent``.  Walk t counts agent j's contribution iff t < m_j and
+    stops once the last agent still owed one is placed.  Draws of
+    different agents share walks and so are dependent; neither Hoeffding's
+    bound per agent nor the union bound over agents needs them independent.
+    ``meta["walks"]`` counts the walks and ``meta["walk_steps"]`` the
+    contributions computed, counted or not.
+
+    The ranges come from ``compute_ranges`` in a job of their own, so
+    ``meta["matchings"]`` counts its one greedy and ``meta["searches"]`` its
+    removal searches plus the walks' ``add_agent`` calls.  Nothing looks a
+    worth up, so ``meta["cache"]`` reads no hits and no misses.  Options come
+    either as ``cfg`` or as keywords of ``RangeSamplerConfig``; passing both
+    raises ``TypeError``.
     """
     cfg = _config(RangeSamplerConfig, cfg, kwargs)
     t0 = time.perf_counter()
@@ -400,7 +414,7 @@ def range_sampler_shapley(
         return ShapleyReport(agents=[], meta={"method": "range-sample", "n": 0})
     if cache is None:
         cache = CharacteristicCache()
-    ranges = compute_ranges(scenario)
+    [ranges], base = _pool.run_jobs(_ranges_job, [None], scenario, cache)
     delta_i = cfg.delta / n
 
     eps_i: dict[str, float] = {}
@@ -426,13 +440,18 @@ def range_sampler_shapley(
         for a in scenario.agents
     }
 
-    budgets = [(i, needed[a]) for i, a in enumerate(scenario.agents)]
-    totals, _, work = _run_batched(_range_job, budgets, (scenario, cfg.seed), cache, cfg.workers)
+    caps = [needed[a] for a in scenario.agents]
+    walks = max(caps)
+    sums, _, walk_steps, work = _run_batched(
+        _walk_job, [(0, walks)], (scenario, cfg.seed, caps), cache, cfg.workers
+    )
+    for field in ("matchings", "searches"):
+        work[field] += base[field]
 
     agents = []
     for i, a in enumerate(scenario.agents):
         m_i = needed[a]
-        est = totals[i] / m_i if m_i else ranges[a].solo
+        est = sums[0][i] / m_i if m_i else ranges[a].solo
         agents.append(
             AgentResult(
                 agent=a,
@@ -453,6 +472,8 @@ def range_sampler_shapley(
         "seed": cfg.seed,
         "workers": cfg.workers,
         "total_samples": int(sum(needed.values())),
+        "walks": walks,
+        "walk_steps": walk_steps,
         "ranges": {a: r.width for a, r in ranges.items()},
         **work,
         "wall_time": time.perf_counter() - t0,

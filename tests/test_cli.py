@@ -168,6 +168,15 @@ def test_range_sample_non_finite_epsilon_fails_cleanly(ref_file, capsys, epsilon
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--epsilon", "-1"), ("--delta", "5")])
+def test_solve_bad_epsilon_or_delta_fails_cleanly(ref_file, capsys, flag, value):
+    # the reference game goes to the exact solver, so no sampler would see it
+    assert run_cli("solve", "--scenario", ref_file, "--sampler", "range",
+                   flag, value, "--threads", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:] in err
+
+
 def test_solve_routes_small_component_exactly(ref_file, tmp_path):
     out = tmp_path / "solve.json"
     csv_path = tmp_path / "plot.csv"

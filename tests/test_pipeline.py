@@ -22,6 +22,27 @@ def test_solve_unknown_sampler_fails_before_any_work(monkeypatch):
         sa.solve(scn, exact_limit=4, sampler="nosuch", threads=1)
 
 
+@pytest.mark.parametrize("sampler, epsilon, delta", [
+    ("range", -1.0, 5.0),
+    ("range", 0.3, 0.0),
+    ("range", float("nan"), 0.01),
+    ("fpras", 1.5, 0.01),
+    ("fpras", 0.3, 1.0),
+])
+def test_solve_checks_epsilon_and_delta_before_any_work(monkeypatch, sampler, epsilon, delta):
+    # every agent is separable, so no component reaches a sampler
+    separable = sa.generate(agents=30, coauthor_prob=0.0, seed=1)
+    with pytest.raises(ValueError, match="epsilon|delta"):
+        sa.solve(separable, sampler=sampler, epsilon=epsilon, delta=delta, threads=1)
+
+    def no_work(scenario):
+        raise AssertionError("preprocessing ran before epsilon and delta were checked")
+
+    monkeypatch.setattr("shapalloc.pipeline.run_pipeline", no_work)
+    with pytest.raises(ValueError, match="epsilon|delta"):
+        sa.solve(separable, sampler=sampler, epsilon=epsilon, delta=delta, threads=1)
+
+
 @pytest.mark.parametrize("sampler", ["fpras", "range"])
 def test_solve_on_a_scenario_matches_the_cli_report(tmp_path, sampler):
     scn_path = tmp_path / "scn.json"

@@ -175,8 +175,8 @@ class TestFpras:
             neigh = np.asarray(scn.graph.neighbor_masks, dtype=np.int64)
             table_payload = (vtab, neigh, scn.solo_value, n, seed)
             for job in jobs:
-                t_run, t_sums, t_hits = sampling._fpras_table_job(table_payload, None, job)
-                l_run, l_sums, l_hits = sampling._fpras_loop_job((scn, seed), None, job)
+                t_run, t_sums, t_hits, _ = sampling._fpras_table_job(table_payload, None, job)
+                l_run, l_sums, l_hits, _ = sampling._walk_job((scn, seed, None), None, job)
                 assert t_run == l_run == job[0]
                 scale = max(1.0, float(np.abs(l_sums).max()))
                 np.testing.assert_allclose(t_sums, l_sums, rtol=1e-12, atol=1e-12 * scale)
@@ -244,6 +244,64 @@ def test_permutation_walk_carries_the_prefix_optimum():
                     optimum[prefix] = (brute_force_opt(scn, prefix) if n <= 7
                                        else sa.optimal_value_only(scn, prefix))
                 assert alloc.value(scn) == pytest.approx(optimum[prefix], rel=1e-12, abs=1e-12)
+
+
+def test_range_walks_match_restricted_marginals(monkeypatch):
+    # several jobs per run of walks, so walk t = batch * BATCH + s is exercised
+    monkeypatch.setattr("shapalloc.sampling.BATCH", 7)
+    walked = []
+
+    def recording_walk(scenario, perm, holder, held):
+        steps = []
+        walked.append(steps)
+        for step in permutation_walk(scenario, perm, holder, held):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr("shapalloc.sampling.permutation_walk", recording_walk)
+    rng = np.random.default_rng(5)
+    for inst in range(24):
+        n, k, seed = 6 + inst % 5, 1 + inst % 3, 30 + inst
+        scn = sa.generate(agents=n, goods_per_agent=1.4, coauthor_prob=0.5,
+                          value_set=(0.0, 0.25, 0.5, 0.75, 1.0), k=k, seed=700 + inst)
+        # uneven budgets, some of them zero
+        caps = [int(c) for c in rng.integers(0, 30, size=n)]
+        caps[inst % n] = 0
+        walks = max(caps)
+        walked.clear()
+        sums, _, walk_steps, _ = sampling._run_batched(
+            sampling._walk_job, [(0, walks)], (scn, seed, caps), sa.CharacteristicCache(), 1
+        )
+        perms = []
+        for b, start in enumerate(range(0, walks, sampling.BATCH)):
+            job_rng = sampling._job_rng(seed, 1, 0, b)
+            perms += [job_rng.permutation(n).tolist()
+                      for _ in range(min(sampling.BATCH, walks - start))]
+        assert len(walked) == len(perms) == walks
+        want = [0.0] * n
+        counted = [0] * n
+        for t, (perm, steps_t) in enumerate(zip(perms, walked)):
+            owed = [pos for pos, j in enumerate(perm) if caps[j] > t]
+            # the walk follows the job's permutation and ends at the last
+            # agent still owed a contribution
+            assert [j for j, _, _ in steps_t] == perm[:owed[-1] + 1], (inst, t)
+            prefix = 0
+            for j, contrib, _ in steps_t:
+                if caps[j] > t:
+                    restricted = sa.marginal_restricted(scn, j, prefix)
+                    assert contrib.hex() == restricted.hex(), (inst, t, j)
+                    want[j] += contrib
+                    counted[j] += 1
+                prefix |= 1 << j
+        assert counted == caps
+        assert walk_steps == sum(len(steps_t) for steps_t in walked)
+        assert [x.hex() for x in sums[0]] == [x.hex() for x in want]
+
+    walked.clear()
+    rep = sa.range_sampler_shapley(scn, epsilon=0.2, delta=0.1, seed=3)
+    assert rep.meta["walks"] == max(r.samples for r in rep.agents) == len(walked)
+    assert rep.meta["walk_steps"] == sum(len(steps_t) for steps_t in walked)
+    assert rep.meta["total_samples"] <= rep.meta["walk_steps"]
 
 
 @pytest.mark.parametrize("solver", ["range", "fpras", "exact", "bounds"])
