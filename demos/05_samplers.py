@@ -22,12 +22,14 @@ print(f"component under study: {comp.n} agents, {len(comp.good_ids)} goods")
 cache = sa.CharacteristicCache()
 exact = {r.agent: r.value for r in sa.exact_shapley(comp, cache).agents} if comp.n <= 20 else None
 
-fpras = sa.fpras_shapley(comp, cache, epsilon=0.3, delta=0.05, seed=1)
+fpras = sa.fpras_shapley(comp, cache, cfg=sa.FprasConfig(epsilon=0.3, delta=0.05, seed=1))
 print(f"\npermutation sampler: {fpras.meta['contributions_per_run']} contributions/run, "
       f"{fpras.meta['runs']} runs, shortcut served {fpras.meta['shortcut_fraction']:.0%}")
 
 ranges = sa.compute_ranges(comp)
-rng = sa.range_sampler_shapley(comp, cache, epsilon=0.1, delta=0.05, seed=1)
+rng = sa.range_sampler_shapley(
+    comp, cfg=sa.RangeSamplerConfig(epsilon=0.1, delta=0.05, seed=1)
+)
 print(f"range sampler: {rng.meta['total_samples']} samples total from "
       f"{rng.meta['walks']} shared walks ({rng.meta['walk_steps']} steps); "
       f"{sum(1 for r in ranges.values() if r.width == 0.0)} agents needed none")

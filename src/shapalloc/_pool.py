@@ -1,20 +1,18 @@
 """Deterministic job execution over an optional process pool.
 
 Heavy solvers split work into an ordered list of self-describing jobs, and
-``run_jobs`` is the one place that decides where a job's characteristic
-cache lives and that counts the job's work.  In process, every job uses the
-caller's cache.  In a pool, each worker receives the shared payload once,
-via the pool initializer, together with a private cache that lives as long
-as the pool.  Caches never change a value, so per-worker caches cannot
-change a result; only the hit count does.
+``run_jobs`` runs ``fn(payload, job)`` for each of them, in process or in a
+pool.  In a pool, each worker receives the shared payload once, via the pool
+initializer, and keeps it as long as the pool lives; a job that memoizes
+worths keeps its cache in the payload, so each worker fills its own copy.
+Caches never change a value, so per-worker caches cannot change a result.
 
 Each job is wrapped with the deltas of ``matching.solve_calls()`` (greedy
-matchings), of ``matching.search_calls()`` (add and remove searches) and of
-its cache's hits and misses, and the runner returns their sums next to the
-results.  Partial results come back strictly in job order, so the final
-numbers are identical whatever the worker count or scheduling -- the
-single-worker run is the reference and the parallel runs reproduce it bit
-for bit.
+matchings) and of ``matching.search_calls()`` (add and remove searches),
+and the runner returns their sums next to the results.  Partial results come
+back strictly in job order, so the final numbers are identical whatever the
+worker count or scheduling -- the single-worker run is the reference and the
+parallel runs reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -25,60 +23,50 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence
 
 from . import matching
-from .model import CharacteristicCache
 
 _PAYLOAD: Any = None
-_CACHE: CharacteristicCache | None = None
 
 
 def _init_worker(payload):
-    global _PAYLOAD, _CACHE
+    global _PAYLOAD
     _PAYLOAD = payload
-    _CACHE = CharacteristicCache()
 
 
-def _counted(fn, payload, cache: CharacteristicCache, job):
-    """``fn``'s result and the matchings, searches, hits and misses it caused."""
+def _counted(fn, payload, job):
+    """``fn``'s result and the matchings and searches it ran."""
     m0, s0 = matching.solve_calls(), matching.search_calls()
-    h0, x0 = cache.hits, cache.misses
-    out = fn(payload, cache, job)
-    return out, (
-        matching.solve_calls() - m0,
-        matching.search_calls() - s0,
-        cache.hits - h0,
-        cache.misses - x0,
-    )
+    out = fn(payload, job)
+    return out, (matching.solve_calls() - m0, matching.search_calls() - s0)
 
 
 def _call(args):
     fn, job = args
-    return _counted(fn, _PAYLOAD, _CACHE, job)
+    return _counted(fn, _PAYLOAD, job)
 
 
 def default_workers() -> int:
+    """``SHAPALLOC_THREADS`` if set (a positive integer), else the CPU count."""
     env = os.environ.get("SHAPALLOC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"SHAPALLOC_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def run_jobs(
-    fn: Callable[[Any, CharacteristicCache, Any], Any],
+    fn: Callable[[Any, Any], Any],
     jobs: Sequence[Any],
     payload: Any,
-    cache: CharacteristicCache,
     workers: int = 1,
 ) -> tuple[list[Any], dict]:
-    """Run ``fn(payload, cache, job)`` for every job.
+    """Run ``fn(payload, job)`` for every job.
 
     Returns the results in job order and the jobs' summed work,
-    ``{"matchings": m, "searches": s, "cache": {"hits": h, "misses": x}}``.
+    ``{"matchings": m, "searches": s}``.
     """
     if workers <= 1 or len(jobs) <= 1:
-        counted = [_counted(fn, payload, cache, job) for job in jobs]
+        counted = [_counted(fn, payload, job) for job in jobs]
     else:
         try:
             ctx = mp.get_context("fork")
@@ -91,6 +79,5 @@ def run_jobs(
             initargs=(payload,),
         ) as pool:
             counted = list(pool.map(_call, [(fn, job) for job in jobs]))
-    m, s, h, x = (sum(c[i] for _, c in counted) for i in range(4))
-    work = {"matchings": m, "searches": s, "cache": {"hits": h, "misses": x}}
-    return [out for out, _ in counted], work
+    m, s = (sum(c[i] for _, c in counted) for i in range(2))
+    return [out for out, _ in counted], {"matchings": m, "searches": s}

@@ -83,11 +83,7 @@ def gray_subsets(items: list[int]):
         yield mask
 
 
-def _optimum_job(scenario, cache, coalition):
-    return greedy(scenario, coalition)
-
-
-def _bounds_job(payload, cache, job):
+def _bounds_job(payload, job):
     scenario, max_neigh, (holder, held) = payload
     i = job
     neigh_mask = scenario.graph.neighbor_masks[i]
@@ -147,19 +143,17 @@ def shapley_bounds(
 
     Agents with more than ``max_neigh`` neighbors get the trivial interval
     and are flagged ``fallback=True``.  Unknown ids in ``agents`` raise
-    ``ScenarioError``.  The sweep looks no worth up, so ``meta["cache"]``
-    reads no hits and no misses whatever ``cache`` is passed;
+    ``ScenarioError``.  The sweep looks no worth up, so ``cache`` is
+    unused; it stays so that callers passing it positionally keep working.
     ``meta["matchings"]`` counts the one greedy and ``meta["searches"]``
     the jobs' add and remove searches.
     """
     t0 = time.perf_counter()
-    if cache is None:
-        cache = CharacteristicCache()
     mask = scenario.full_mask if agents is None else scenario.mask_of(agents)
     indices = list(iter_bits(mask))
-    [grand], base = _pool.run_jobs(_optimum_job, [scenario.full_mask], scenario, cache)
+    [grand], base = _pool.run_jobs(greedy, [scenario.full_mask], scenario)
     results, work = _pool.run_jobs(
-        _bounds_job, indices, (scenario, max_neigh, grand), cache, workers=workers
+        _bounds_job, indices, (scenario, max_neigh, grand), workers=workers
     )
     work["matchings"] += base["matchings"]
     records = []

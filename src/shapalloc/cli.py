@@ -219,6 +219,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shapalloc",
@@ -229,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p):
         p.add_argument(
-            "--threads", type=int, default=default_workers(),
+            "--threads", type=_worker_count, default=default_workers(),
             help="worker processes (default: SHAPALLOC_THREADS or CPU count)",
         )
 
@@ -330,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ per coalition: every mask m contributes +w(|m|-1) * v(m) to each member and
 -w(|m|) * v(m) to each non-member.  Each of the 2^n worths is then needed
 exactly once, masks can be partitioned into independent contiguous jobs, and
 merging per-job partial sums in mask order makes the result identical for
-any worker count.
+any worker count.  The worth cache travels in the job payload, and each job
+reports the hits and misses it caused.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ def _weight_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w_member, w_outside
 
 
-def _exact_job(payload, cache, job):
-    scenario, w_member, w_outside = payload
+def _exact_job(payload, job):
+    scenario, w_member, w_outside, cache = payload
+    h0, x0 = cache.hits, cache.misses
     lo, hi = job
     n = scenario.n
     count = hi - lo
@@ -65,7 +67,7 @@ def _exact_job(payload, cache, job):
         partial[i] = float(v[member] @ w_member[pc[member]]) - float(
             v[~member] @ w_outside[pc[~member]]
         )
-    return partial
+    return partial, cache.hits - h0, cache.misses - x0
 
 
 def exact_shapley(
@@ -79,7 +81,9 @@ def exact_shapley(
     Refuses components larger than ``limit`` (2^n worths must be computed);
     use the bound or sampling solvers beyond that.  Results are independent
     of ``workers``: jobs are fixed mask ranges and their partial sums are
-    merged in range order.
+    merged in range order.  ``meta["cache"]`` sums the jobs' hits and
+    misses; in a pool each worker looks worths up in its own copy of
+    ``cache``, so ``cache`` itself fills only at one worker.
     """
     n = scenario.n
     if n > limit:
@@ -97,11 +101,12 @@ def exact_shapley(
     job_size = 1 << JOB_BITS
     jobs = [(lo, min(lo + job_size, total)) for lo in range(0, total, job_size)]
     results, work = _pool.run_jobs(
-        _exact_job, jobs, (scenario, w_member, w_outside), cache, workers=workers
+        _exact_job, jobs, (scenario, w_member, w_outside, cache), workers=workers
     )
+    work["cache"] = {"hits": sum(r[1] for r in results), "misses": sum(r[2] for r in results)}
 
     sv = np.zeros(n, dtype=np.float64)
-    for partial in results:
+    for partial, _, _ in results:
         sv = sv + partial
     grand = char_value(scenario, scenario.full_mask, cache)
     wall = time.perf_counter() - t0

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import numbers
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,6 +53,9 @@ class AllocationScenario:
         self.good_ids = tuple(str(g) for g, _ in goods)
         if len(set(self.good_ids)) != len(self.good_ids):
             raise ScenarioError("duplicate good ids")
+        for g, v in goods:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ScenarioError(f"good {g!r} has a non-numeric value {v!r}")
         # the same values as Python floats: the augmenting searches index
         # them once per good visited, where numpy scalars cost more
         self.good_value_list = [float(v) for _, v in goods]
@@ -112,7 +115,7 @@ class AllocationScenario:
         self._graph: AgentsGraph | None = None
 
     def _interest_row(self, agent: str, ids: Iterable[str]) -> tuple[int, ...]:
-        if isinstance(ids, (str, bytes)):
+        if isinstance(ids, (str, bytes)) or not isinstance(ids, Iterable):
             raise ScenarioError(
                 f"interest of agent {agent!r} must be a list of good ids, got {ids!r}"
             )
@@ -217,6 +220,10 @@ class AllocationScenario:
             interest = {a["id"]: a.get("interest", []) for a in data["agents"]}
         except (KeyError, TypeError) as exc:
             raise ScenarioError(f"malformed scenario object: {exc}") from exc
+        for kind, ids in (("good", [g for g, _ in goods]), ("agent", agents)):
+            for x in ids:
+                if not isinstance(x, str):
+                    raise ScenarioError(f"{kind} id {x!r} is not a string")
         return cls(agents, goods, interest, k)
 
     def __repr__(self) -> str:

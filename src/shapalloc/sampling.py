@@ -20,10 +20,11 @@ Two samplers with different guarantees:
   every agent j with t < m_j one contribution, so each agent averages m_j
   independent draws, each one step of a shared walk.
 
-The permutation sampler's loop mode and the range sampler walk in one job,
-``_walk_job``.  Randomness is confined to per-job streams keyed by (master
-seed, sampler, key, batch), and job partials merge in job order, so reports
-are identical for any worker count.
+Each sampler takes its options as one config, ``cfg``.  The permutation
+sampler's loop mode and the range sampler walk in one job, ``_walk_job``.
+Randomness is confined to per-job streams keyed by (master seed, sampler,
+key, batch), and job partials merge in job order, so reports are identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -50,16 +50,7 @@ def _job_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _config(cls, cfg, kwargs):
-    """``cfg``, or a ``cls`` built from the keyword options; never both."""
-    if cfg is None:
-        return cls(**kwargs)
-    if kwargs:
-        raise TypeError("pass either cfg or keyword options, not both")
-    return cfg
-
-
-def _run_batched(job_fn, budgets, payload, cache, workers: int):
+def _run_batched(job_fn, budgets, payload, workers: int):
     """Run sampling jobs over per-key budgets split into batches.
 
     ``budgets`` pairs each key (a run of the permutation sampler, or the
@@ -75,7 +66,7 @@ def _run_batched(job_fn, budgets, payload, cache, workers: int):
         for key, budget in budgets
         for b, start in enumerate(range(0, budget, BATCH))
     ]
-    results, work = _pool.run_jobs(job_fn, jobs, payload, cache, workers=workers)
+    results, work = _pool.run_jobs(job_fn, jobs, payload, workers=workers)
     parts: dict = {}
     hits = steps = 0
     for key, part, job_hits, job_steps in results:
@@ -154,34 +145,31 @@ def permutation_walk(
         yield j, contrib, alone
 
 
-def _walk_job(payload, cache, job):
+def _walk_job(payload, job):
     """Per-agent sums of contributions over one batch of permutation walks.
 
-    With ``caps`` None (the permutation sampler) every step counts and the
-    stream is ``(seed, 0, run, batch)``.  With per-agent ``caps`` (the range
-    sampler) the stream is ``(seed, 1, 0, batch)``, walk t of the sampler is
-    ``batch * BATCH + s``, agent j's contribution counts iff t < caps[j], and
-    the walk stops once the last agent still owed one is placed.  Returns
-    the key, the sums, the shortcut hits and the steps walked.
+    The payload names the stream, 0 for the permutation sampler and 1 for
+    the range sampler, and each agent's cap; the job draws from
+    ``(seed, stream, key, batch)``.  Walk t of a key is ``batch * BATCH +
+    s``, agent j's contribution counts iff t < caps[j], and the walk stops
+    once the last agent still owed one is placed.  The permutation sampler
+    caps every agent at its walks per run, so all of each walk counts.
+    Returns the key, the sums, the shortcut hits and the steps walked.
     """
-    scenario, seed, caps = payload
+    scenario, seed, stream, caps = payload
     key, batch_idx, count = job
-    rng = _job_rng(seed, 0 if caps is None else 1, key, batch_idx)
+    rng = _job_rng(seed, stream, key, batch_idx)
     n = scenario.n
     sums = [0.0] * n
     hits = 0
     steps = 0
     for s in range(count):
         perm = rng.permutation(n).tolist()
-        if caps is None:
-            for j, contrib, alone in permutation_walk(scenario, perm, {}, {}):
-                sums[j] += contrib
-                hits += alone
-            steps += n
-            continue
         t = batch_idx * BATCH + s
-        stop = 1 + max(pos for pos, j in enumerate(perm) if caps[j] > t)
-        for j, contrib, alone in islice(permutation_walk(scenario, perm, {}, {}), stop):
+        stop = n
+        while caps[perm[stop - 1]] <= t:
+            stop -= 1
+        for j, contrib, alone in permutation_walk(scenario, perm[:stop], {}, {}):
             hits += alone
             if caps[j] > t:
                 sums[j] += contrib
@@ -189,14 +177,15 @@ def _walk_job(payload, cache, job):
     return key, np.asarray(sums), hits, steps
 
 
-def _worth_table_job(scenario, cache, n):
+def _worth_table_job(payload, n):
+    scenario, cache = payload
     vtab = np.empty(1 << n, dtype=np.float64)
     for m in range(1 << n):
         vtab[m] = char_value(scenario, m, cache)
     return vtab
 
 
-def _fpras_table_job(payload, cache, job):
+def _fpras_table_job(payload, job):
     vtab, neigh_arr, solo_arr, n, seed = payload
     run, batch_idx, count = job
     rng = _job_rng(seed, 0, run, batch_idx)
@@ -215,8 +204,8 @@ def _fpras_table_job(payload, cache, job):
 def fpras_shapley(
     scenario: AllocationScenario,
     cache: CharacteristicCache | None = None,
-    cfg: FprasConfig | None = None,
-    **kwargs,
+    *,
+    cfg: FprasConfig,
 ) -> ShapleyReport:
     """Approximate Shapley values by sampling random permutations.
 
@@ -226,17 +215,15 @@ def fpras_shapley(
     ``permutation_walk``, which keeps an optimal allocation of the prefix
     and adds each agent to it by at most k augmentations.  That walk runs no
     matching and looks nothing up, so its ``meta`` reports ``matchings`` 0
-    and a cache with no hits or misses.
+    and a cache with no hits or misses.  In table mode ``meta["cache"]``
+    counts the worth table's lookups in ``cache``; the grand-coalition
+    lookup used for scaling is not counted.
 
     The table is used when the component has at most ``TABLE_LIMIT`` agents
     and the budget covers its 2^n entries.  The mode sets only the speed:
     both credit an agent none of whose neighbors precede it with its solo
     value, and ``meta["shortcut_hits"]`` counts those steps.
-
-    Options come either as ``cfg`` or as keywords of ``FprasConfig``;
-    passing both raises ``TypeError``.
     """
-    cfg = _config(FprasConfig, cfg, kwargs)
     t0 = time.perf_counter()
     n = scenario.n
     if n == 0:
@@ -249,8 +236,9 @@ def fpras_shapley(
         cache = CharacteristicCache()
 
     budgets = [(run, perms_per_run) for run in range(cfg.runs)]
+    h0, x0 = cache.hits, cache.misses
     if use_table:
-        [vtab], work = _pool.run_jobs(_worth_table_job, [n], scenario, cache)
+        [vtab], work = _pool.run_jobs(_worth_table_job, [n], (scenario, cache))
         payload = (
             vtab,
             np.asarray(scenario.graph.neighbor_masks, dtype=np.int64),
@@ -258,11 +246,13 @@ def fpras_shapley(
             n,
             cfg.seed,
         )
-        sums, shortcut_hits, _, _ = _run_batched(_fpras_table_job, budgets, payload, cache, 1)
+        sums, shortcut_hits, _, _ = _run_batched(_fpras_table_job, budgets, payload, 1)
     else:
+        caps = [perms_per_run] * n
         sums, shortcut_hits, _, work = _run_batched(
-            _walk_job, budgets, (scenario, cfg.seed, None), cache, cfg.workers
+            _walk_job, budgets, (scenario, cfg.seed, 0, caps), cfg.workers
         )
+    work["cache"] = {"hits": cache.hits - h0, "misses": cache.misses - x0}
     run_sums = np.vstack([sums[run] for run in range(cfg.runs)])
 
     estimates = run_sums / perms_per_run
@@ -373,15 +363,15 @@ class RangeSamplerConfig:
             raise ValueError(f"mode must be 'abs' or 'rel', got {self.mode!r}")
 
 
-def _ranges_job(scenario, cache, _):
+def _ranges_job(scenario, _):
     return compute_ranges(scenario)
 
 
 def range_sampler_shapley(
     scenario: AllocationScenario,
     cache: CharacteristicCache | None = None,
-    cfg: RangeSamplerConfig | None = None,
-    **kwargs,
+    *,
+    cfg: RangeSamplerConfig,
 ) -> ShapleyReport:
     """Estimate each agent's Shapley value with a per-agent sample budget.
 
@@ -403,18 +393,14 @@ def range_sampler_shapley(
     The ranges come from ``compute_ranges`` in a job of their own, so
     ``meta["matchings"]`` counts its one greedy and ``meta["searches"]`` its
     removal searches plus the walks' ``add_agent`` calls.  Nothing looks a
-    worth up, so ``meta["cache"]`` reads no hits and no misses.  Options come
-    either as ``cfg`` or as keywords of ``RangeSamplerConfig``; passing both
-    raises ``TypeError``.
+    worth up, so ``cache`` is unused; it stays so that callers passing it
+    positionally keep working.
     """
-    cfg = _config(RangeSamplerConfig, cfg, kwargs)
     t0 = time.perf_counter()
     n = scenario.n
     if n == 0:
         return ShapleyReport(agents=[], meta={"method": "range-sample", "n": 0})
-    if cache is None:
-        cache = CharacteristicCache()
-    [ranges], base = _pool.run_jobs(_ranges_job, [None], scenario, cache)
+    [ranges], base = _pool.run_jobs(_ranges_job, [None], scenario)
     delta_i = cfg.delta / n
 
     eps_i: dict[str, float] = {}
@@ -443,7 +429,7 @@ def range_sampler_shapley(
     caps = [needed[a] for a in scenario.agents]
     walks = max(caps)
     sums, _, walk_steps, work = _run_batched(
-        _walk_job, [(0, walks)], (scenario, cfg.seed, caps), cache, cfg.workers
+        _walk_job, [(0, walks)], (scenario, cfg.seed, 1, caps), cfg.workers
     )
     for field in ("matchings", "searches"):
         work[field] += base[field]

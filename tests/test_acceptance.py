@@ -192,7 +192,8 @@ def test_criterion_6_shortcut_identity_and_savings_band():
     # credited exactly the worth difference, on a ring (table mode) and on a
     # 60-agent component (loop mode)
     ring = ring_game(12)
-    assert sa.fpras_shapley(ring, epsilon=0.4, delta=0.1, seed=6).meta["mode"] == "table"
+    ring_cfg = sa.FprasConfig(epsilon=0.4, delta=0.1, seed=6)
+    assert sa.fpras_shapley(ring, cfg=ring_cfg).meta["mode"] == "table"
 
     loop_scn = sa.generate(agents=60, coauthor_prob=0.5, max_claimers=2,
                            value_weights=(0.2, 0.2, 0.2, 0.2, 0.2), k=2, seed=8)
@@ -240,7 +241,7 @@ def test_criterion_7_range_sampler_budget_and_failures():
     assert hoeffding_sample_count(1.0, 0.1, 0.01) == 265  # ceil(ln(200)/0.02)
     assert hoeffding_sample_count(1.0, 0.1, 0.01 / 3) == 320  # split over 3 agents
     ref = three_agent_game()
-    rep = sa.range_sampler_shapley(ref, epsilon=0.1, delta=0.01, seed=0)
+    rep = sa.range_sampler_shapley(ref, cfg=sa.RangeSamplerConfig(epsilon=0.1, delta=0.01, seed=0))
     assert rep.by_agent()["a1"].samples == 320
     assert rep.by_agent()["a3"].samples == 0
 
@@ -250,7 +251,9 @@ def test_criterion_7_range_sampler_budget_and_failures():
     eps, delta, trials = 0.1, 0.01, 200
     failures = 0
     for seed in range(trials):
-        est = sa.range_sampler_shapley(scn, cache, epsilon=eps, delta=delta, seed=seed)
+        est = sa.range_sampler_shapley(
+            scn, cache, cfg=sa.RangeSamplerConfig(epsilon=eps, delta=delta, seed=seed)
+        )
         if any(abs(r.value - exact[r.agent]) > eps for r in est.agents):
             failures += 1
     fraction = failures / trials

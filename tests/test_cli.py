@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -177,6 +178,32 @@ def test_solve_bad_epsilon_or_delta_fails_cleanly(ref_file, capsys, flag, value)
     assert err.startswith("error: ") and flag[2:] in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_rejected(ref_file, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("exact", "--scenario", ref_file, "--threads", threads)
+    assert exc.value.code == 2
+    assert "error: argument --threads: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", ["abc", "0", "-2"])
+def test_bad_threads_environment_fails_cleanly(ref_file, capsys, monkeypatch, env):
+    monkeypatch.setenv("SHAPALLOC_THREADS", env)
+    assert run_cli("exact", "--scenario", ref_file) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: SHAPALLOC_THREADS must be a positive integer")
+
+
+def test_mistyped_scenario_record_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({
+        "k": 1, "goods": [{"id": "g", "value": None}], "agents": [{"id": "x", "interest": ["g"]}],
+    }))
+    assert run_cli("opt", "--scenario", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "good 'g' has a non-numeric value None" in err
+
+
 def test_solve_routes_small_component_exactly(ref_file, tmp_path):
     out = tmp_path / "solve.json"
     csv_path = tmp_path / "plot.csv"
@@ -327,3 +354,17 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_only_the_cli_prints():
+    # the package reports through return values and logging; output to the
+    # terminal belongs to the command line alone
+    calls = []
+    for path in sorted((SRC / "shapalloc").rglob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "print"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

@@ -115,6 +115,23 @@ class TestExactShapley:
         many = [r.value for r in sa.exact_shapley(scn, workers=3).agents]
         assert one == many  # job merge order is fixed, so bit-identical
 
+    def test_prefilled_cache_at_one_and_two_workers(self, monkeypatch):
+        # several jobs, so that two workers share them out, each with its
+        # own copy of the passed cache
+        monkeypatch.setattr("shapalloc.exact.JOB_BITS", 6)
+        scn = random_scenario(221, n=9)
+        metas, values = [], []
+        for workers in (1, 2):
+            cache = sa.CharacteristicCache()
+            for m in range(0, 1 << scn.n, 5):
+                sa.char_value(scn, m, cache)
+            rep = sa.exact_shapley(scn, cache, workers=workers)
+            metas.append(rep.meta["cache"])
+            values.append([r.value.hex() for r in rep.agents])
+        assert values[0] == values[1]
+        assert metas[0]["hits"] > 0
+        assert sum(metas[0].values()) == sum(metas[1].values())
+
     def test_declaration_order_invariance(self):
         scn = random_scenario(230, n=8)
         base = {r.agent: r.value for r in sa.exact_shapley(scn).agents}

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,25 @@ class TestScenarioValidation:
             "agents": [{"id": "x", "interest": "g12"}],
         }
         with pytest.raises(sa.ScenarioError, match="list of good ids"):
+            sa.AllocationScenario.from_dict(data)
+
+    @pytest.mark.parametrize("field, bad, match", [
+        ("value", None, "good 'g' has a non-numeric value None"),
+        ("value", True, "good 'g' has a non-numeric value True"),
+        ("value", "0.7", "good 'g' has a non-numeric value '0.7'"),
+        ("interest", None, "interest of agent 'x' must be a list of good ids"),
+        ("agent id", 5, "agent id 5 is not a string"),
+        ("good id", 5, "good id 5 is not a string"),
+    ])
+    def test_mistyped_record_rejected(self, field, bad, match):
+        good = {"id": "g", "value": 1.0}
+        agent = {"id": "x", "interest": ["g"]}
+        if field in ("value", "good id"):
+            good["id" if field == "good id" else "value"] = bad
+        else:
+            agent["id" if field == "agent id" else "interest"] = bad
+        data = {"k": 1, "goods": [good], "agents": [agent]}
+        with pytest.raises(sa.ScenarioError, match=re.escape(match)):
             sa.AllocationScenario.from_dict(data)
 
     def test_duplicate_ids_rejected(self):

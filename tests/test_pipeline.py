@@ -43,6 +43,16 @@ def test_solve_checks_epsilon_and_delta_before_any_work(monkeypatch, sampler, ep
         sa.solve(separable, sampler=sampler, epsilon=epsilon, delta=delta, threads=1)
 
 
+@pytest.mark.parametrize("threads", [0, -4])
+def test_solve_checks_threads_before_any_work(monkeypatch, threads):
+    def no_work(scenario):
+        raise AssertionError("preprocessing ran before threads was checked")
+
+    monkeypatch.setattr("shapalloc.pipeline.run_pipeline", no_work)
+    with pytest.raises(ValueError, match="threads"):
+        sa.solve(three_agent_game(), threads=threads)
+
+
 @pytest.mark.parametrize("sampler", ["fpras", "range"])
 def test_solve_on_a_scenario_matches_the_cli_report(tmp_path, sampler):
     scn_path = tmp_path / "scn.json"

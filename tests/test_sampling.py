@@ -60,9 +60,8 @@ class TestSampleBound:
 
 class TestRangeSampler:
     def test_reference_game_sample_counts_and_exact_zero_width(self, ref_game):
-        rep = sa.range_sampler_shapley(
-            ref_game, epsilon=0.1, delta=0.01, seed=1
-        )
+        cfg = sa.RangeSamplerConfig(epsilon=0.1, delta=0.01, seed=1)
+        rep = sa.range_sampler_shapley(ref_game, cfg=cfg)
         by = rep.by_agent()
         assert by["a1"].samples == 320
         assert by["a2"].samples == 320
@@ -73,14 +72,14 @@ class TestRangeSampler:
         scn = sa.AllocationScenario(
             ["x", "y"], [("g", 1.0)], {"x": ["g"], "y": ["g"]}, k=1
         )
+        cfg = sa.RangeSamplerConfig(epsilon=0.1, delta=0.1, mode="rel")
         with pytest.raises(ValueError, match="absolute mode"):
-            sa.range_sampler_shapley(scn, epsilon=0.1, delta=0.1, mode="rel")
+            sa.range_sampler_shapley(scn, cfg=cfg)
 
     def test_relative_mode_with_bound_file_values(self, ref_game):
         lbs = {"a1": 2.5, "a2": 2.5, "a3": 1.0}
-        rep = sa.range_sampler_shapley(
-            ref_game, epsilon=0.1, delta=0.01, mode="rel", lower_bounds=lbs, seed=2
-        )
+        cfg = sa.RangeSamplerConfig(epsilon=0.1, delta=0.01, mode="rel", lower_bounds=lbs, seed=2)
+        rep = sa.range_sampler_shapley(ref_game, cfg=cfg)
         by = rep.by_agent()
         assert by["a1"].epsilon == pytest.approx(0.25)
         assert by["a1"].samples == sa.hoeffding_sample_count(1.0, 0.25, 0.01 / 3)
@@ -100,16 +99,19 @@ class TestRangeSampler:
 
     def test_seeded_determinism_and_worker_invariance(self):
         scn = random_scenario(420, n=9)
-        a = sa.range_sampler_shapley(scn, epsilon=0.2, delta=0.05, seed=9, workers=1)
-        b = sa.range_sampler_shapley(scn, epsilon=0.2, delta=0.05, seed=9, workers=3)
+        a, b, c = (
+            sa.range_sampler_shapley(scn, cfg=sa.RangeSamplerConfig(
+                epsilon=0.2, delta=0.05, seed=seed, workers=workers))
+            for seed, workers in ((9, 1), (9, 3), (10, 1))
+        )
         assert [r.value for r in a.agents] == [r.value for r in b.agents]
-        c = sa.range_sampler_shapley(scn, epsilon=0.2, delta=0.05, seed=10)
         assert [r.value for r in a.agents] != [r.value for r in c.agents]
 
     def test_estimates_land_near_exact_values(self):
         scn = random_scenario(430, n=8)
         exact = exact_values(scn)
-        rep = sa.range_sampler_shapley(scn, epsilon=0.1, delta=0.01, seed=3)
+        cfg = sa.RangeSamplerConfig(epsilon=0.1, delta=0.01, seed=3)
+        rep = sa.range_sampler_shapley(scn, cfg=cfg)
         for rec in rep.agents:
             assert rec.value == pytest.approx(exact[rec.agent], abs=0.1 + 1e-9)
 
@@ -120,7 +122,8 @@ class TestRangeSampler:
         failures = 0
         trials = 40
         for seed in range(trials):
-            rep = sa.range_sampler_shapley(scn, epsilon=eps, delta=delta, seed=seed)
+            cfg = sa.RangeSamplerConfig(epsilon=eps, delta=delta, seed=seed)
+            rep = sa.range_sampler_shapley(scn, cfg=cfg)
             worst = max(abs(r.value - exact[r.agent]) for r in rep.agents)
             failures += worst > eps
         assert failures / trials <= delta + 0.08  # generous binomial slack
@@ -141,7 +144,7 @@ class TestRangeSampler:
 class TestFpras:
     def test_single_agent_component_is_exact(self):
         scn = sa.AllocationScenario(["x"], [("g", 2.0), ("h", 1.0)], {"x": ["g", "h"]}, k=2)
-        rep = sa.fpras_shapley(scn, epsilon=0.5, delta=0.5, seed=0)
+        rep = sa.fpras_shapley(scn, cfg=sa.FprasConfig(epsilon=0.5, delta=0.5, seed=0))
         assert rep.agents[0].value == 3.0
 
     def test_parameter_validation(self):
@@ -159,7 +162,7 @@ class TestFpras:
 
     def test_budget_balance_after_scaling(self, ref_game):
         cache = sa.CharacteristicCache()
-        rep = sa.fpras_shapley(ref_game, cache, epsilon=0.4, delta=0.1, seed=5)
+        rep = sa.fpras_shapley(ref_game, cache, cfg=sa.FprasConfig(epsilon=0.4, delta=0.1, seed=5))
         grand = sa.char_value(ref_game, ref_game.full_mask, cache)
         assert rep.total() == pytest.approx(grand, rel=1e-12)
 
@@ -171,12 +174,14 @@ class TestFpras:
         for inst in range(12):
             scn = random_scenario(900 + inst, n=3 + inst % 10)
             n = scn.n
-            vtab = sampling._worth_table_job(scn, sa.CharacteristicCache(), n)
+            vtab = sampling._worth_table_job((scn, sa.CharacteristicCache()), n)
             neigh = np.asarray(scn.graph.neighbor_masks, dtype=np.int64)
             table_payload = (vtab, neigh, scn.solo_value, n, seed)
+            # every agent is owed every walk of these jobs
+            walk_payload = (scn, seed, 0, [2 * sampling.BATCH] * n)
             for job in jobs:
-                t_run, t_sums, t_hits, _ = sampling._fpras_table_job(table_payload, None, job)
-                l_run, l_sums, l_hits, _ = sampling._walk_job((scn, seed, None), None, job)
+                t_run, t_sums, t_hits, _ = sampling._fpras_table_job(table_payload, job)
+                l_run, l_sums, l_hits, _ = sampling._walk_job(walk_payload, job)
                 assert t_run == l_run == job[0]
                 scale = max(1.0, float(np.abs(l_sums).max()))
                 np.testing.assert_allclose(t_sums, l_sums, rtol=1e-12, atol=1e-12 * scale)
@@ -194,27 +199,28 @@ class TestFpras:
 
     def test_estimates_track_exact_values(self, ref_game):
         exact = {"a1": 2.5, "a2": 2.5, "a3": 1.0}
-        rep = sa.fpras_shapley(ref_game, epsilon=0.3, delta=0.01, seed=17)
+        rep = sa.fpras_shapley(ref_game, cfg=sa.FprasConfig(epsilon=0.3, delta=0.01, seed=17))
         for rec in rep.agents:
             assert rec.value == pytest.approx(exact[rec.agent], rel=0.3)
 
     def test_median_of_runs_recorded(self):
         scn = random_scenario(470, n=6)
-        rep = sa.fpras_shapley(scn, epsilon=0.5, delta=0.2, runs=5, seed=2)
+        rep = sa.fpras_shapley(scn, cfg=sa.FprasConfig(epsilon=0.5, delta=0.2, runs=5, seed=2))
         assert rep.meta["runs"] == 5
         assert rep.meta["contributions_per_run"] >= rep.meta["contributions_target_per_run"]
 
     def test_matchings_counted_in_meta(self):
         scn = random_scenario(471, n=9)
-        rep = sa.fpras_shapley(scn, epsilon=0.5, delta=0.2, seed=1)
+        rep = sa.fpras_shapley(scn, cfg=sa.FprasConfig(epsilon=0.5, delta=0.2, seed=1))
         assert rep.meta["matchings"] > 0
-        est = sa.range_sampler_shapley(scn, epsilon=0.2, delta=0.1, seed=1)
+        cfg = sa.RangeSamplerConfig(epsilon=0.2, delta=0.1, seed=1)
+        est = sa.range_sampler_shapley(scn, cfg=cfg)
         assert est.meta["matchings"] >= 0
         assert est.meta["total_samples"] == sum(r.samples for r in est.agents)
 
     def test_empty_scenario(self):
         scn = sa.AllocationScenario([], [], {}, k=1)
-        rep = sa.fpras_shapley(scn, epsilon=0.3, delta=0.1)
+        rep = sa.fpras_shapley(scn, cfg=sa.FprasConfig(epsilon=0.3, delta=0.1))
         assert rep.agents == []
 
 
@@ -270,7 +276,7 @@ def test_range_walks_match_restricted_marginals(monkeypatch):
         walks = max(caps)
         walked.clear()
         sums, _, walk_steps, _ = sampling._run_batched(
-            sampling._walk_job, [(0, walks)], (scn, seed, caps), sa.CharacteristicCache(), 1
+            sampling._walk_job, [(0, walks)], (scn, seed, 1, caps), 1
         )
         perms = []
         for b, start in enumerate(range(0, walks, sampling.BATCH)):
@@ -298,10 +304,39 @@ def test_range_walks_match_restricted_marginals(monkeypatch):
         assert [x.hex() for x in sums[0]] == [x.hex() for x in want]
 
     walked.clear()
-    rep = sa.range_sampler_shapley(scn, epsilon=0.2, delta=0.1, seed=3)
+    rep = sa.range_sampler_shapley(scn, cfg=sa.RangeSamplerConfig(epsilon=0.2, delta=0.1, seed=3))
     assert rep.meta["walks"] == max(r.samples for r in rep.agents) == len(walked)
     assert rep.meta["walk_steps"] == sum(len(steps_t) for steps_t in walked)
     assert rep.meta["total_samples"] <= rep.meta["walk_steps"]
+
+
+def test_loop_walks_rebuild_the_permutation_sampler(monkeypatch):
+    # several jobs per run, and the loop walk even on small components
+    monkeypatch.setattr("shapalloc.sampling.BATCH", 7)
+    monkeypatch.setattr("shapalloc.sampling.TABLE_LIMIT", 0)
+    for inst in range(12):
+        n, k, seed = 4 + inst % 5, 1 + inst % 3, 50 + inst
+        # values in quarters: every sum is exact, so hex equality is fair
+        scn = sa.generate(agents=n, goods_per_agent=1.4, coauthor_prob=0.5,
+                          value_set=(0.25, 0.5, 0.75, 1.0), k=k, seed=800 + inst)
+        cfg = sa.FprasConfig(epsilon=0.9, delta=0.9, runs=3, seed=seed)
+        rep = sa.fpras_shapley(scn, cfg=cfg)
+        assert rep.meta["mode"] == "loop"
+        walks = cfg.permutations_per_run(n)
+        run_sums = np.zeros((cfg.runs, n))
+        hits = 0
+        for run in range(cfg.runs):
+            for b, start in enumerate(range(0, walks, sampling.BATCH)):
+                job_rng = sampling._job_rng(seed, 0, run, b)
+                for _ in range(min(sampling.BATCH, walks - start)):
+                    perm = job_rng.permutation(n).tolist()
+                    for j, contrib, alone in permutation_walk(scn, perm, {}, {}):
+                        run_sums[run, j] += contrib
+                        hits += alone
+        medians = np.median(run_sums / walks, axis=0)
+        values = medians * (sa.char_value(scn, scn.full_mask) / float(medians.sum()))
+        assert rep.meta["shortcut_hits"] == hits
+        assert [r.value.hex() for r in rep.agents] == [float(v).hex() for v in values], inst
 
 
 @pytest.mark.parametrize("solver", ["range", "fpras", "exact", "bounds"])
@@ -327,9 +362,13 @@ def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
     if solver in ("range", "bounds"):
         # marginals come from greedies and add/remove searches, with no
         # lookup, and the jobs run the same searches at any worker count
-        metas = [run(workers, sa.CharacteristicCache()).meta for workers in (1, 2)]
+        metas = []
+        for workers in (1, 2):
+            cache = sa.CharacteristicCache()
+            metas.append(run(workers, cache).meta)
+            assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
         for meta in metas:
-            assert meta["cache"] == {"hits": 0, "misses": 0}
+            assert "cache" not in meta
             assert meta["matchings"] > 0
             assert meta["searches"] > 0
         assert metas[0]["searches"] == metas[1]["searches"]
@@ -340,9 +379,9 @@ def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
     seen = []
     run_jobs = _pool.run_jobs
 
-    def spy(fn, jobs, payload, job_cache, workers=1):
+    def spy(fn, jobs, payload, workers=1):
         before = cache.hits + cache.misses
-        out = run_jobs(fn, jobs, payload, job_cache, workers=workers)
+        out = run_jobs(fn, jobs, payload, workers=workers)
         seen.append(cache.hits + cache.misses - before)
         return out
 
@@ -360,12 +399,3 @@ def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
         assert loop["mode"] == "loop"
         assert loop["cache"] == {"hits": 0, "misses": 0}
         assert loop["matchings"] == 0
-
-
-def test_cfg_and_keyword_options_together_rejected(ref_game):
-    fpras_cfg = sa.FprasConfig(epsilon=0.5, delta=0.1, seed=1)
-    with pytest.raises(TypeError, match="not both"):
-        sa.fpras_shapley(ref_game, cfg=fpras_cfg, seed=99, runs=7)
-    range_cfg = sa.RangeSamplerConfig(epsilon=0.5, delta=0.1)
-    with pytest.raises(TypeError, match="not both"):
-        sa.range_sampler_shapley(ref_game, cfg=range_cfg, mode="rel")
