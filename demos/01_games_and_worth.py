@@ -21,11 +21,10 @@ scenario = sa.AllocationScenario(
 print("agents:", scenario.agents)
 print("goods :", dict(zip(scenario.good_ids, scenario.good_values)))
 
-cache = sa.CharacteristicCache()
 for ids in (["a1"], ["a2"], ["a3"], ["a1", "a2"], ["a1", "a3"], ["a2", "a3"],
             ["a1", "a2", "a3"]):
     mask = scenario.mask_of(ids)
-    print(f"worth({'+'.join(ids):<10}) = {sa.char_value(scenario, mask, cache)}")
+    print(f"worth({'+'.join(ids):<10}) = {sa.char_value(scenario, mask)}")
 
 allocation, value = sa.optimal_allocation(scenario, scenario.full_mask)
 print("\none optimal grand-coalition allocation, total", value)

@@ -20,9 +20,8 @@ scenario = sa.AllocationScenario(
     k=2,
 )
 
-cache = sa.CharacteristicCache()
-report = sa.exact_shapley(scenario, cache)
-grand = sa.char_value(scenario, scenario.full_mask, cache)
+report = sa.exact_shapley(scenario)
+grand = sa.char_value(scenario, scenario.full_mask)
 
 print(f"grand-coalition worth: {grand}")
 for rec in report.agents:
@@ -32,7 +31,7 @@ print(f"shares sum to {sum(r.value for r in report.agents)} (budget balance)")
 print("\nmarginal-contribution floor:")
 for rec in report.agents:
     i = scenario.agent_index[rec.agent]
-    marg = grand - sa.char_value(scenario, scenario.full_mask & ~(1 << i), cache)
+    marg = grand - sa.char_value(scenario, scenario.full_mask & ~(1 << i))
     print(f"  {rec.agent}: share {rec.value:.3f} >= marginal {marg:.3f}")
 
 print("\nnote: r3's share exceeds an equal split of its own submissions;")

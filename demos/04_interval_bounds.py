@@ -16,8 +16,7 @@ scenario = sa.generate(
 )
 scenario = sa.strip_null_goods(scenario)
 
-cache = sa.CharacteristicCache()
-intervals = sa.shapley_bounds(scenario, cache)
+intervals = sa.shapley_bounds(scenario)
 
 # exact values for comparison: independent components can be solved one by
 # one and pasted together

@@ -19,10 +19,9 @@ report = sa.run_pipeline(scenario)
 comp = max(report.components, key=lambda c: c.n)
 print(f"component under study: {comp.n} agents, {len(comp.good_ids)} goods")
 
-cache = sa.CharacteristicCache()
-exact = {r.agent: r.value for r in sa.exact_shapley(comp, cache).agents} if comp.n <= 20 else None
+exact = {r.agent: r.value for r in sa.exact_shapley(comp).agents} if comp.n <= 20 else None
 
-fpras = sa.fpras_shapley(comp, cache, cfg=sa.FprasConfig(epsilon=0.3, delta=0.05, seed=1))
+fpras = sa.fpras_shapley(comp, cfg=sa.FprasConfig(epsilon=0.3, delta=0.05, seed=1))
 print(f"\npermutation sampler: {fpras.meta['contributions_per_run']} contributions/run, "
       f"{fpras.meta['runs']} runs, shortcut served {fpras.meta['shortcut_fraction']:.0%}")
 

@@ -24,7 +24,6 @@ from .model import (
     load_scenario,
     marginal_contribution,
     marginal_restricted,
-    mask_from_bool,
     mask_from_indices,
     save_scenario,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "hoeffding_sample_count",
     "marginal_contribution",
     "marginal_restricted",
-    "mask_from_bool",
     "mask_from_indices",
     "merge_reports",
     "optimal_allocation",

@@ -3,9 +3,10 @@
 Heavy solvers split work into an ordered list of self-describing jobs, and
 ``run_jobs`` runs ``fn(payload, job)`` for each of them, in process or in a
 pool.  In a pool, each worker receives the shared payload once, via the pool
-initializer, and keeps it as long as the pool lives; a job that memoizes
-worths keeps its cache in the payload, so each worker fills its own copy.
-Caches never change a value, so per-worker caches cannot change a result.
+initializer, and keeps it as long as the pool lives; exact enumeration
+keeps its component values in the payload, so each worker fills its own
+copy.  A memo never changes a value, so per-worker memos cannot change a
+result, only how many matchings run.
 
 Each job is wrapped with the deltas of ``matching.solve_calls()`` (greedy
 matchings) and of ``matching.search_calls()`` (add and remove searches),

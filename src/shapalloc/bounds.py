@@ -26,8 +26,7 @@ looked up in a cache.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
-from functools import lru_cache
+from math import factorial
 
 from . import _pool
 from .matching import add_agent, greedy, remove_agent
@@ -41,35 +40,20 @@ def profile_weight(l: int, p: int, z: int, n: int) -> float:
     """Total Shapley weight of all coalitions sharing one neighbor profile.
 
     ``l`` non-neighbors are free to join or not; ``p`` neighbors are in,
-    ``z`` neighbors are out, and l + p + z + 1 = n.  Summing the join weight
-    over the number of present non-neighbors gives
+    ``z`` neighbors are out, and l + p + z + 1 = n.  The weight is the
+    chance that, among i and its neighbors in a uniform order, exactly the
+    ``p`` present neighbors come before i,
 
-        y = sum_k (l - k + p)! (z + k)! / n! * C(l, k).
+        y = p! z! / (p + z + 1)!,
 
-    Exact integer arithmetic, rounded once at the end.
+    whatever the non-neighbors do, so ``l`` and ``n`` drop out.  Integer
+    arithmetic, rounded once by the division.
     """
     if min(l, p, z) < 0:
         raise ValueError("profile sizes must be non-negative")
     if l + p + z + 1 != n:
         raise ValueError(f"inconsistent profile sizes: {l}+{p}+{z}+1 != {n}")
-    return _profile_weight_cached(l, p, z, n)
-
-
-@lru_cache(maxsize=8)
-def _factorials(n: int) -> tuple[int, ...]:
-    out = [1] * (n + 1)
-    for j in range(2, n + 1):
-        out[j] = out[j - 1] * j
-    return tuple(out)
-
-
-@lru_cache(maxsize=65536)
-def _profile_weight_cached(l: int, p: int, z: int, n: int) -> float:
-    fact = _factorials(n)
-    num = 0
-    for k in range(l + 1):
-        num += fact[l - k + p] * fact[z + k] * (fact[l] // (fact[k] * fact[l - k]))
-    return float(Fraction(num, fact[n]))
+    return factorial(p) * factorial(z) / factorial(p + z + 1)
 
 
 def gray_subsets(items: list[int]):
@@ -143,11 +127,14 @@ def shapley_bounds(
 
     Agents with more than ``max_neigh`` neighbors get the trivial interval
     and are flagged ``fallback=True``.  Unknown ids in ``agents`` raise
-    ``ScenarioError``.  The sweep looks no worth up, so ``cache`` is
-    unused; it stays so that callers passing it positionally keep working.
+    ``ScenarioError``, and ``workers`` below 1 raises ``ValueError``.  The
+    sweep looks no worth up, so ``cache`` is inert; it stays so that
+    callers passing it positionally keep working.
     ``meta["matchings"]`` counts the one greedy and ``meta["searches"]``
     the jobs' add and remove searches.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     t0 = time.perf_counter()
     mask = scenario.full_mask if agents is None else scenario.mask_of(agents)
     indices = list(iter_bits(mask))

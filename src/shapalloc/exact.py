@@ -5,8 +5,14 @@ per coalition: every mask m contributes +w(|m|-1) * v(m) to each member and
 -w(|m|) * v(m) to each non-member.  Each of the 2^n worths is then needed
 exactly once, masks can be partitioned into independent contiguous jobs, and
 merging per-job partial sums in mask order makes the result identical for
-any worker count.  The worth cache travels in the job payload, and each job
-reports the hits and misses it caused.
+any worker count.
+
+``worths`` values a whole range of masks at once, the same way
+``model.char_value`` values one.  The permutation sampler's worth table
+uses it too.  Component values are kept in a plain dict that travels in the
+job payload, so in a pool each worker values each component once for the
+life of the pool; how many matchings run depends on the worker count, the
+values do not.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from math import factorial
 
 import numpy as np
 
-from . import _pool
-from .model import AllocationScenario, CharacteristicCache, char_value
+from . import _pool, matching
+from .model import AllocationScenario, CharacteristicCache
 from .report import AgentResult, ShapleyReport
 
 DEFAULT_LIMIT = 26
@@ -48,26 +54,60 @@ def _weight_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return w_member, w_outside
 
 
+def worths(scenario: AllocationScenario, lo: int, hi: int, store: dict[int, float]) -> np.ndarray:
+    """``char_value`` of every mask in ``lo..hi-1``, bit for bit.
+
+    Each round peels every mask's component holding its lowest member, by
+    frontier expansion over per-byte neighbor tables, values each distinct
+    component once (``matching.optimal_value_only``, memoized in ``store``)
+    and adds the values per mask from 0.0, in ``char_value``'s order.  A
+    mask already peeled to 0 adds the empty coalition's 0.0.
+    """
+    # tables[b][s]: the union of the neighbor masks of the agents 8b + j
+    # for the bits j set in s
+    neigh = scenario.graph.neighbor_masks
+    tables = []
+    for base in range(0, len(neigh), 8):
+        width = min(8, len(neigh) - base)
+        subsets = np.arange(1 << width)
+        table = np.zeros(1 << width, dtype=np.int64)
+        for j in range(width):
+            table[(subsets >> j) & 1 == 1] |= neigh[base + j]
+        tables.append(table)
+    rest = np.arange(lo, hi, dtype=np.int64)
+    out = np.zeros(len(rest))
+    while rest.any():
+        comp = rest & -rest
+        frontier = comp
+        while frontier.any():
+            reach = np.zeros_like(frontier)
+            for b, table in enumerate(tables):
+                reach |= table[(frontier >> (8 * b)) & 255]
+            frontier = reach & rest & ~comp
+            comp |= frontier
+        keys, inverse = np.unique(comp, return_inverse=True)
+        keys = keys.tolist()
+        for c in keys:
+            if c not in store:
+                store[c] = matching.optimal_value_only(scenario, c)
+        out += np.array([store[c] for c in keys])[inverse]
+        rest &= ~comp
+    return out
+
+
 def _exact_job(payload, job):
-    scenario, w_member, w_outside, cache = payload
-    h0, x0 = cache.hits, cache.misses
+    scenario, w_member, w_outside, store = payload
     lo, hi = job
-    n = scenario.n
-    count = hi - lo
-    v = np.empty(count, dtype=np.float64)
-    pc = np.empty(count, dtype=np.intp)
-    for idx in range(count):
-        m = lo + idx
-        v[idx] = char_value(scenario, m, cache)
-        pc[idx] = m.bit_count()
+    v = worths(scenario, lo, hi, store)
     masks = np.arange(lo, hi, dtype=np.int64)
-    partial = np.empty(n, dtype=np.float64)
-    for i in range(n):
+    pc = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+    partial = np.empty(scenario.n, dtype=np.float64)
+    for i in range(scenario.n):
         member = (masks >> i) & 1 == 1
         partial[i] = float(v[member] @ w_member[pc[member]]) - float(
             v[~member] @ w_outside[pc[~member]]
         )
-    return partial, cache.hits - h0, cache.misses - x0
+    return partial
 
 
 def exact_shapley(
@@ -81,11 +121,13 @@ def exact_shapley(
     Refuses components larger than ``limit`` (2^n worths must be computed);
     use the bound or sampling solvers beyond that.  Results are independent
     of ``workers``: jobs are fixed mask ranges and their partial sums are
-    merged in range order.  ``meta["cache"]`` sums the jobs' hits and
-    misses; in a pool each worker looks worths up in its own copy of
-    ``cache``, so ``cache`` itself fills only at one worker.
+    merged in range order.  ``workers`` below 1 raises ``ValueError``.
+    ``cache`` is inert: nothing is looked up in it or stored in it, and it
+    stays so that callers passing it positionally keep working.
     """
     n = scenario.n
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if n > limit:
         raise ComponentTooLarge(
             f"component has {n} agents; exact enumeration is limited to {limit} "
@@ -94,21 +136,20 @@ def exact_shapley(
     t0 = time.perf_counter()
     if n == 0:
         return ShapleyReport(agents=[], meta={"method": "exact", "n": 0})
-    if cache is None:
-        cache = CharacteristicCache()
     w_member, w_outside = _weight_arrays(n)
     total = 1 << n
     job_size = 1 << JOB_BITS
     jobs = [(lo, min(lo + job_size, total)) for lo in range(0, total, job_size)]
+    store: dict[int, float] = {}
     results, work = _pool.run_jobs(
-        _exact_job, jobs, (scenario, w_member, w_outside, cache), workers=workers
+        _exact_job, jobs, (scenario, w_member, w_outside, store), workers=workers
     )
-    work["cache"] = {"hits": sum(r[1] for r in results), "misses": sum(r[2] for r in results)}
 
     sv = np.zeros(n, dtype=np.float64)
-    for partial, _, _ in results:
+    for partial in results:
         sv = sv + partial
-    grand = char_value(scenario, scenario.full_mask, cache)
+    # in process, the store already holds the grand coalition's components
+    grand = float(worths(scenario, total - 1, total, store)[0])
     wall = time.perf_counter() - t0
     agents = [
         AgentResult(agent=a, kind="exact", method="exact", value=float(sv[i]))

@@ -32,8 +32,8 @@ class AllocationScenario:
     """Agents, valued goods, interest sets and a per-agent capacity.
 
     Immutable once constructed; derived structures (index maps, per-agent
-    value arrays, the agents graph) are precomputed or cached so the object
-    can be shared freely across workers.
+    value arrays, the agents graph) are precomputed or built on first use,
+    so the object can be shared freely across workers.
     """
 
     def __init__(
@@ -272,12 +272,6 @@ def mask_from_indices(indices: Iterable[int]) -> int:
     return m
 
 
-def mask_from_bool(members: np.ndarray) -> int:
-    """Bitmask from a boolean membership vector (index i -> bit i)."""
-    packed = np.packbits(members.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def mask_to_indices(mask: int, n: int) -> np.ndarray:
     """Set bit positions of ``mask`` as an array, ascending."""
     nbytes = (n + 7) // 8
@@ -377,14 +371,12 @@ def component_of(i: int, coalition: int, neighbor_masks: Sequence[int]) -> int:
 
 
 class CharacteristicCache:
-    """Memo of coalition worths keyed by bitmask.
+    """Inert memo of coalition worths keyed by bitmask.
 
-    Bound to a single scenario: keys are masks in that scenario's agent
-    order.  Values are deterministic, so a cache can be dropped, split
-    across workers, or merged without changing any result.  It has no entry
-    cap: it grows with the distinct masks looked up, which only exact
-    enumeration, the permutation sampler's worth table and direct
-    ``char_value`` calls do.
+    No solver looks a worth up in it or stores one: ``exact_shapley``,
+    ``shapley_bounds``, ``fpras_shapley`` and ``range_sampler_shapley``
+    still accept one positionally and leave it empty, so ``hits``,
+    ``misses`` and ``len`` stay 0 unless a caller uses ``get`` and ``put``.
     """
 
     def __init__(self):
@@ -410,61 +402,36 @@ class CharacteristicCache:
 # -- characteristic function ---------------------------------------------------
 
 
-def char_value(
-    scenario: AllocationScenario,
-    coalition: Coalition,
-    cache: CharacteristicCache | None = None,
-) -> float:
+def char_value(scenario: AllocationScenario, coalition: Coalition) -> float:
     """Worth of a coalition: the value of an optimal feasible allocation.
 
     The coalition is split into connected components of the agents graph
-    first; each component is matched independently and the values are
-    summed.  Decomposing is exact because disjoint interest sets cannot
-    compete for goods, and it keeps matching instances small.
+    first; each component is matched independently (a singleton takes its
+    solo value) and the values are summed from 0.0 in ascending order of
+    each component's lowest member.  Decomposing is exact because disjoint
+    interest sets cannot compete for goods, and it keeps matching instances
+    small.
     """
     if coalition == 0:
         return 0.0
     if coalition < 0 or coalition > scenario.full_mask:
         raise ScenarioError("coalition mask outside the scenario's agent range")
-    neigh = scenario.graph.neighbor_masks
+    from . import matching
+
     total = 0.0
-    for comp in connected_components(coalition, neigh):
-        total += _component_value(scenario, comp, cache)
+    for comp in connected_components(coalition, scenario.graph.neighbor_masks):
+        total += matching.optimal_value_only(scenario, comp)
     return total
 
 
-def _component_value(
-    scenario: AllocationScenario,
-    comp: Coalition,
-    cache: CharacteristicCache | None,
-) -> float:
-    if comp & (comp - 1) == 0:  # singleton
-        return float(scenario.solo_value[comp.bit_length() - 1])
-    if cache is not None:
-        v = cache.get(comp)
-        if v is not None:
-            return v
-    from . import matching
-
-    v = matching.optimal_value_only(scenario, comp)
-    if cache is not None:
-        cache.put(comp, v)
-    return v
-
-
 def marginal_contribution(
-    scenario: AllocationScenario,
-    i: int,
-    coalition: Coalition,
-    cache: CharacteristicCache | None = None,
+    scenario: AllocationScenario, i: int, coalition: Coalition
 ) -> float:
     """v(C + i) - v(C) for an agent i outside C."""
     bit = 1 << i
     if coalition & bit:
         raise ScenarioError(f"agent index {i} already belongs to the coalition")
-    return char_value(scenario, coalition | bit, cache) - char_value(
-        scenario, coalition, cache
-    )
+    return char_value(scenario, coalition | bit) - char_value(scenario, coalition)
 
 
 def marginal_restricted(
@@ -477,8 +444,7 @@ def marginal_restricted(
     the marginal is ``i``'s solo value; otherwise it is
     ``matching.marginal_gain`` on that component: one greedy for the
     component without ``i``, then at most k augmentations adding ``i``.
-    Exact; it looks nothing up in a cache and never touches the rest of
-    the coalition.
+    Exact; it never touches the rest of the coalition.
     """
     bit = 1 << i
     if coalition & bit:

@@ -37,6 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _pool, matching
+from .exact import worths
 from .model import AllocationScenario, CharacteristicCache, char_value
 from .report import AgentResult, ShapleyReport
 
@@ -104,6 +105,8 @@ class FprasConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.runs < 1:
             raise ValueError("runs must be positive")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
     def contributions_per_run(self, n: int) -> int:
         return math.ceil(n * (n - 1) / (self.delta * self.epsilon**2))
@@ -177,12 +180,8 @@ def _walk_job(payload, job):
     return key, np.asarray(sums), hits, steps
 
 
-def _worth_table_job(payload, n):
-    scenario, cache = payload
-    vtab = np.empty(1 << n, dtype=np.float64)
-    for m in range(1 << n):
-        vtab[m] = char_value(scenario, m, cache)
-    return vtab
+def _worth_table_job(scenario, n):
+    return worths(scenario, 0, 1 << n, {})
 
 
 def _fpras_table_job(payload, job):
@@ -214,10 +213,10 @@ def fpras_shapley(
     vectorized; larger components walk each permutation with
     ``permutation_walk``, which keeps an optimal allocation of the prefix
     and adds each agent to it by at most k augmentations.  That walk runs no
-    matching and looks nothing up, so its ``meta`` reports ``matchings`` 0
-    and a cache with no hits or misses.  In table mode ``meta["cache"]``
-    counts the worth table's lookups in ``cache``; the grand-coalition
-    lookup used for scaling is not counted.
+    matching, so its ``meta`` reports ``matchings`` 0.  The table comes from
+    ``exact.worths``, one matching per distinct component.  ``cache`` is
+    inert: nothing is looked up in it or stored in it, and it stays so that
+    callers passing it positionally keep working.
 
     The table is used when the component has at most ``TABLE_LIMIT`` agents
     and the budget covers its 2^n entries.  The mode sets only the speed:
@@ -232,13 +231,9 @@ def fpras_shapley(
     m_target = cfg.contributions_per_run(n)
     use_table = n <= TABLE_LIMIT and perms_per_run * n >= (1 << n)
 
-    if cache is None:
-        cache = CharacteristicCache()
-
     budgets = [(run, perms_per_run) for run in range(cfg.runs)]
-    h0, x0 = cache.hits, cache.misses
     if use_table:
-        [vtab], work = _pool.run_jobs(_worth_table_job, [n], (scenario, cache))
+        [vtab], work = _pool.run_jobs(_worth_table_job, [n], scenario)
         payload = (
             vtab,
             np.asarray(scenario.graph.neighbor_masks, dtype=np.int64),
@@ -252,12 +247,11 @@ def fpras_shapley(
         sums, shortcut_hits, _, work = _run_batched(
             _walk_job, budgets, (scenario, cfg.seed, 0, caps), cfg.workers
         )
-    work["cache"] = {"hits": cache.hits - h0, "misses": cache.misses - x0}
     run_sums = np.vstack([sums[run] for run in range(cfg.runs)])
 
     estimates = run_sums / perms_per_run
     medians = np.median(estimates, axis=0)
-    grand = char_value(scenario, scenario.full_mask, cache)
+    grand = char_value(scenario, scenario.full_mask)
     total = float(medians.sum())
     scale = grand / total if total != 0.0 else 1.0
     values = medians * scale
@@ -361,6 +355,8 @@ class RangeSamplerConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.mode not in ("abs", "rel"):
             raise ValueError(f"mode must be 'abs' or 'rel', got {self.mode!r}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 def _ranges_job(scenario, _):
@@ -393,7 +389,7 @@ def range_sampler_shapley(
     The ranges come from ``compute_ranges`` in a job of their own, so
     ``meta["matchings"]`` counts its one greedy and ``meta["searches"]`` its
     removal searches plus the walks' ``add_agent`` calls.  Nothing looks a
-    worth up, so ``cache`` is unused; it stays so that callers passing it
+    worth up, so ``cache`` is inert; it stays so that callers passing it
     positionally keep working.
     """
     t0 = time.perf_counter()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 
 def brute_force_opt(scenario, mask: int | None = None) -> float:
@@ -83,6 +83,17 @@ def profile_mass_explicit(n: int, i: int, neigh: set[int], profile: set[int]) ->
                     factorial(len(combo)) * factorial(n - len(combo) - 1), factorial(n)
                 )
     return float(total)
+
+
+def profile_weight_sum(l: int, p: int, z: int, n: int) -> float:
+    """Profile weight summed over the number k of present non-neighbors:
+
+        y = sum_k (l - k + p)! (z + k)! / n! * C(l, k),
+
+    exact rational arithmetic, rounded once.
+    """
+    num = sum(factorial(l - k + p) * factorial(z + k) * comb(l, k) for k in range(l + 1))
+    return float(Fraction(num, factorial(n)))
 
 
 def prefix_law_expectation(n: int, i: int, marginal_of_mask) -> float:

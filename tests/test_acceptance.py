@@ -90,7 +90,7 @@ def test_criterion_1_reference_game_values_and_shapley():
         ["a2"],
         ["a3"],
     )
-    got = tuple(sa.char_value(scn, scn.mask_of(ids), cache) for ids in coalitions)
+    got = tuple(sa.char_value(scn, scn.mask_of(ids)) for ids in coalitions)
     assert got == (6.0, 5.0, 4.0, 4.0, 3.0, 3.0, 1.0)
     values = [r.value for r in sa.exact_shapley(scn, cache).agents]
     assert values == pytest.approx([2.5, 2.5, 1.0], rel=1e-12)
@@ -204,15 +204,14 @@ def test_criterion_6_shortcut_identity_and_savings_band():
     rng = np.random.default_rng(6)
     alone_steps = []
     for scn in (ring, comp):
-        cache = sa.CharacteristicCache()
         steps = 0
         for _ in range(20):
             prefix = 0
             perm = rng.permutation(scn.n).tolist()
             for j, contrib, alone in permutation_walk(scn, perm, {}, {}):
                 if alone:
-                    want = (sa.char_value(scn, prefix | 1 << j, cache)
-                            - sa.char_value(scn, prefix, cache))
+                    want = (sa.char_value(scn, prefix | 1 << j)
+                            - sa.char_value(scn, prefix))
                     assert contrib == pytest.approx(want, rel=1e-12, abs=1e-12)
                     steps += 1
                 prefix |= 1 << j
@@ -297,7 +296,7 @@ def test_criterion_8_large_market_surrogate():
     samples = est.meta["total_samples"]
     assert samples > 0
 
-    grand = sa.char_value(comp, comp.full_mask, cache)
+    grand = sa.char_value(comp, comp.full_mask)
     assert est.total() == pytest.approx(grand, rel=0.25)
 
     # the permutation sampler's budget for the same guarantee, not executed
@@ -316,13 +315,13 @@ def test_criterion_8_large_market_surrogate():
 def test_criterion_9_efficiency_and_marginality_on_exact_runs():
     checked_marg = 0
     for idx, (scn, cache, exact, report) in enumerate(_suite200()):
-        grand = sa.char_value(scn, scn.full_mask, cache)
+        grand = sa.char_value(scn, scn.full_mask)
         total = sum(exact.values())
         assert total == pytest.approx(grand, rel=REL, abs=REL)
         if idx % 5 == 0:
             for agent, value in exact.items():
                 i = scn.agent_index[agent]
-                marg = grand - sa.char_value(scn, scn.full_mask & ~(1 << i), cache)
+                marg = grand - sa.char_value(scn, scn.full_mask & ~(1 << i))
                 assert value >= marg - REL * max(1.0, grand)
                 checked_marg += 1
     _ok(9, f"efficiency on 200 exact runs; marginality spot-checked on {checked_marg} agents")

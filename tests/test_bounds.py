@@ -6,7 +6,7 @@ import shapalloc as sa
 from shapalloc.bounds import DEFAULT_MAX_NEIGH, gray_subsets
 
 from conftest import exact_values, random_scenario
-from oracles import profile_mass_explicit
+from oracles import profile_mass_explicit, profile_weight_sum
 
 
 def clique_scenario(n: int, seed: int = 0) -> sa.AllocationScenario:
@@ -67,6 +67,17 @@ class TestProfileWeight:
     def test_large_population_weight_is_finite_and_tiny(self):
         y = sa.profile_weight(600, 3, 2, 606)
         assert 0.0 < y < 1.0
+
+    def test_closed_form_equals_the_sum_bit_for_bit(self):
+        cases = [
+            (n - p - z - 1, p, z, n)
+            for n in range(1, 31)
+            for p in range(min(n, 27))
+            for z in range(min(n - p, 27 - p))
+        ]
+        cases += [(n - p - z - 1, p, z, n) for n in (100, 606) for p in range(0, 27, 5) for z in range(0, 27 - p, 4)]
+        for case in cases:
+            assert sa.profile_weight(*case).hex() == profile_weight_sum(*case).hex(), case
 
 
 def _comb(n, k):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import shapalloc as sa
+from shapalloc import exact
 
 from conftest import random_scenario
 from oracles import shapley_by_permutations
@@ -78,7 +79,7 @@ class TestExactShapley:
         for seed in (201, 202, 203):
             scn = random_scenario(seed, n=6)
             cache = sa.CharacteristicCache()
-            table = {m: sa.char_value(scn, m, cache) for m in range(1 << scn.n)}
+            table = {m: sa.char_value(scn, m) for m in range(1 << scn.n)}
             expect = shapley_by_permutations(scn.n, lambda m: table[m])
             got = [r.value for r in sa.exact_shapley(scn, cache).agents]
             assert got == pytest.approx(expect, rel=1e-9, abs=1e-12)
@@ -88,12 +89,12 @@ class TestExactShapley:
             scn = random_scenario(seed, n=9)
             cache = sa.CharacteristicCache()
             rep = sa.exact_shapley(scn, cache)
-            grand = sa.char_value(scn, scn.full_mask, cache)
+            grand = sa.char_value(scn, scn.full_mask)
             values = {r.agent: r.value for r in rep.agents}
             assert sum(values.values()) == pytest.approx(grand, rel=1e-9)
             for a, v in values.items():
                 i = scn.agent_index[a]
-                marg = grand - sa.char_value(scn, scn.full_mask & ~(1 << i), cache)
+                marg = grand - sa.char_value(scn, scn.full_mask & ~(1 << i))
                 assert v >= marg - 1e-9
 
     def test_group_marginality(self):
@@ -101,12 +102,12 @@ class TestExactShapley:
         cache = sa.CharacteristicCache()
         rep = sa.exact_shapley(scn, cache)
         values = {r.agent: r.value for r in rep.agents}
-        grand = sa.char_value(scn, scn.full_mask, cache)
+        grand = sa.char_value(scn, scn.full_mask)
         rng = np.random.default_rng(0)
         for _ in range(20):
             group = int(rng.integers(1, scn.full_mask))
             group_sv = sum(values[scn.agents[i]] for i in sa.iter_bits(group))
-            marg = grand - sa.char_value(scn, scn.full_mask & ~group, cache)
+            marg = grand - sa.char_value(scn, scn.full_mask & ~group)
             assert group_sv >= marg - 1e-9
 
     def test_worker_count_does_not_change_results(self):
@@ -115,22 +116,26 @@ class TestExactShapley:
         many = [r.value for r in sa.exact_shapley(scn, workers=3).agents]
         assert one == many  # job merge order is fixed, so bit-identical
 
-    def test_prefilled_cache_at_one_and_two_workers(self, monkeypatch):
-        # several jobs, so that two workers share them out, each with its
-        # own copy of the passed cache
+    def test_several_jobs_at_one_and_two_workers(self, monkeypatch):
+        # several jobs, so that two workers share them out, each valuing
+        # components in its own store
         monkeypatch.setattr("shapalloc.exact.JOB_BITS", 6)
         scn = random_scenario(221, n=9)
-        metas, values = [], []
+        reports = []
         for workers in (1, 2):
             cache = sa.CharacteristicCache()
-            for m in range(0, 1 << scn.n, 5):
-                sa.char_value(scn, m, cache)
-            rep = sa.exact_shapley(scn, cache, workers=workers)
-            metas.append(rep.meta["cache"])
-            values.append([r.value.hex() for r in rep.agents])
-        assert values[0] == values[1]
-        assert metas[0]["hits"] > 0
-        assert sum(metas[0].values()) == sum(metas[1].values())
+            reports.append(sa.exact_shapley(scn, cache, workers=workers))
+            assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+            assert "cache" not in reports[-1].meta
+        one, two = ([r.value.hex() for r in rep.agents] for rep in reports)
+        assert one == two
+        # in process one store serves every job, so each component of more
+        # than one agent is matched once
+        neigh = scn.graph.neighbor_masks
+        comps = {
+            c for m in range(1 << scn.n) for c in sa.connected_components(m, neigh) if c & (c - 1)
+        }
+        assert reports[0].meta["matchings"] == len(comps)
 
     def test_declaration_order_invariance(self):
         scn = random_scenario(230, n=8)
@@ -164,3 +169,44 @@ class TestExactShapley:
         scn = random_scenario(241, n=7)
         rep = sa.exact_shapley(scn)
         assert abs(rep.meta["efficiency_gap"]) <= 1e-9 * max(1.0, rep.meta["grand_value"])
+
+
+def _worths_instances():
+    """At least 40 games of 1 to 16 agents: random, edgeless, cliques, ties."""
+    out = []
+    for n in range(1, 15):
+        for seed in (0, 1):
+            out.append(random_scenario(1000 + 10 * n + seed, n=n, k=1 + (n + seed) % 3))
+    for n in (1, 5, 12):
+        ids = [f"a{i}" for i in range(n)]
+        goods = [(f"g{i}", 1.0 + i) for i in range(n)]
+        out.append(sa.AllocationScenario(ids, goods, {a: [f"g{i}"] for i, a in enumerate(ids)}, k=1))
+    for n, k in ((2, 1), (6, 2), (10, 3)):
+        ids = [f"a{i}" for i in range(n)]
+        goods = [(f"g{j}", 0.1 * (j % 4)) for j in range(n + 2)]
+        out.append(sa.AllocationScenario(ids, goods, {a: [g for g, _ in goods] for a in ids}, k=k))
+    for n, k in ((4, 3), (6, 3), (8, 1), (10, 1), (12, 2), (16, 2)):
+        base = random_scenario(1200 + n + k, n=n, k=k)
+        goods = [(g, (0.4, 0.7, 1.0)[j % 3]) for j, g in enumerate(base.good_ids)]
+        interest = {a: [base.good_ids[j] for j in base.interest[i]] for i, a in enumerate(base.agents)}
+        out.append(sa.AllocationScenario(base.agents, goods, interest, k=k))
+    return out
+
+
+def test_worths_match_char_value_bit_for_bit():
+    rng = np.random.default_rng(5)
+    instances = _worths_instances()
+    assert len(instances) >= 40
+    for idx, scn in enumerate(instances):
+        total = 1 << scn.n
+        want = [sa.char_value(scn, m).hex() for m in range(total)]
+        # uneven ranges, most starting above 0, all sharing one store
+        cuts = sorted({0, total, *rng.integers(0, total, size=3).tolist()})
+        store: dict[int, float] = {}
+        got = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            got.extend(float(v).hex() for v in exact.worths(scn, lo, hi, store))
+        assert got == want, idx
+        # a fresh store over a range that starts above 0
+        lo = total // 3
+        assert [float(v).hex() for v in exact.worths(scn, lo, total, {})] == want[lo:], idx

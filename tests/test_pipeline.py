@@ -53,6 +53,27 @@ def test_solve_checks_threads_before_any_work(monkeypatch, threads):
         sa.solve(three_agent_game(), threads=threads)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: sa.exact_shapley(g, workers=0),
+        lambda g: sa.shapley_bounds(g, workers=-3),
+        lambda g: sa.fpras_shapley(g, cfg=sa.FprasConfig(epsilon=0.3, delta=0.1, workers=0)),
+        lambda g: sa.range_sampler_shapley(
+            g, cfg=sa.RangeSamplerConfig(epsilon=0.3, delta=0.1, workers=0)
+        ),
+    ],
+    ids=["exact", "bounds", "fpras", "range"],
+)
+def test_solvers_check_workers_before_any_work(monkeypatch, call):
+    def no_work(*args, **kwargs):
+        raise AssertionError("jobs ran before workers was checked")
+
+    monkeypatch.setattr("shapalloc._pool.run_jobs", no_work)
+    with pytest.raises(ValueError, match="workers"):
+        call(three_agent_game())
+
+
 @pytest.mark.parametrize("sampler", ["fpras", "range"])
 def test_solve_on_a_scenario_matches_the_cli_report(tmp_path, sampler):
     scn_path = tmp_path / "scn.json"

@@ -131,13 +131,12 @@ class TestSeparateSingletons:
     def test_resolved_agent_marginal_is_constant(self):
         scn = sa.strip_null_goods(random_scenario(123, n=8))
         resolved, _ = sa.separate_singletons(scn)
-        cache = sa.CharacteristicCache()
         for a in resolved:
             i = scn.agent_index[a]
             others = scn.full_mask & ~(1 << i)
             m = 0
             while True:
-                marg = sa.marginal_contribution(scn, i, m, cache)
+                marg = sa.marginal_contribution(scn, i, m)
                 assert marg == pytest.approx(scn.solo_value[i], rel=1e-9, abs=1e-9)
                 if m == others:
                     break

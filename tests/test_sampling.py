@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import shapalloc as sa
-from shapalloc import _pool, sampling
+from shapalloc import sampling
 from shapalloc.matching import Allocation
 from shapalloc.sampling import permutation_walk
 
@@ -93,7 +93,7 @@ class TestRangeSampler:
                 expect = prefix_law_expectation(
                     scn.n,
                     i,
-                    lambda m: sa.marginal_contribution(scn, i, m, cache),
+                    lambda m: sa.marginal_contribution(scn, i, m),
                 )
                 assert expect == pytest.approx(exact[scn.agents[i]], rel=1e-9, abs=1e-9)
 
@@ -163,7 +163,7 @@ class TestFpras:
     def test_budget_balance_after_scaling(self, ref_game):
         cache = sa.CharacteristicCache()
         rep = sa.fpras_shapley(ref_game, cache, cfg=sa.FprasConfig(epsilon=0.4, delta=0.1, seed=5))
-        grand = sa.char_value(ref_game, ref_game.full_mask, cache)
+        grand = sa.char_value(ref_game, ref_game.full_mask)
         assert rep.total() == pytest.approx(grand, rel=1e-12)
 
     def test_table_and_loop_jobs_agree_exactly(self):
@@ -174,7 +174,7 @@ class TestFpras:
         for inst in range(12):
             scn = random_scenario(900 + inst, n=3 + inst % 10)
             n = scn.n
-            vtab = sampling._worth_table_job((scn, sa.CharacteristicCache()), n)
+            vtab = sampling._worth_table_job(scn, n)
             neigh = np.asarray(scn.graph.neighbor_masks, dtype=np.int64)
             table_payload = (vtab, neigh, scn.solo_value, n, seed)
             # every agent is owed every walk of these jobs
@@ -186,6 +186,22 @@ class TestFpras:
                 scale = max(1.0, float(np.abs(l_sums).max()))
                 np.testing.assert_allclose(t_sums, l_sums, rtol=1e-12, atol=1e-12 * scale)
                 assert t_hits == l_hits
+
+    def test_table_and_loop_reports_carry_no_cache(self, monkeypatch):
+        scn = random_scenario(480, n=10)
+        neigh = scn.graph.neighbor_masks
+        # the table values each component of more than one agent once
+        comps = {
+            c for m in range(1 << scn.n) for c in sa.connected_components(m, neigh) if c & (c - 1)
+        }
+        cfg = sa.FprasConfig(epsilon=0.4, delta=0.3, seed=4)
+        for limit, mode, matchings in ((sampling.TABLE_LIMIT, "table", len(comps)), (4, "loop", 0)):
+            monkeypatch.setattr("shapalloc.sampling.TABLE_LIMIT", limit)
+            cache = sa.CharacteristicCache()
+            meta = sa.fpras_shapley(scn, cache, cfg=cfg).meta
+            assert (meta["mode"], meta["matchings"]) == (mode, matchings)
+            assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+            assert "cache" not in meta
 
     def test_seeded_determinism_and_worker_invariance(self, monkeypatch):
         monkeypatch.setattr("shapalloc.sampling.TABLE_LIMIT", 4)
@@ -339,63 +355,27 @@ def test_loop_walks_rebuild_the_permutation_sampler(monkeypatch):
         assert [r.value.hex() for r in rep.agents] == [float(v).hex() for v in values], inst
 
 
-@pytest.mark.parametrize("solver", ["range", "fpras", "exact", "bounds"])
+@pytest.mark.parametrize("solver", ["range", "bounds"])
 def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
     scn = random_scenario(480, n=10)
-    # several exact jobs, so that two workers share them out
-    monkeypatch.setattr("shapalloc.exact.JOB_BITS", 8)
-    # and several sampling jobs
-    monkeypatch.setattr("shapalloc.sampling.BATCH", 16 if solver == "range" else 8)
+    # several sampling jobs
+    monkeypatch.setattr("shapalloc.sampling.BATCH", 16)
 
-    def run(workers, cache=None):
-        if solver == "exact":
-            return sa.exact_shapley(scn, cache, workers=workers)
+    def run(workers, cache):
         if solver == "bounds":
             return sa.shapley_bounds(scn, cache, workers=workers)
-        if solver == "range":
-            cfg = sa.RangeSamplerConfig(epsilon=0.3, delta=0.1, seed=4, workers=workers)
-            return sa.range_sampler_shapley(scn, cache, cfg=cfg)
-        # table mode: the loop walk carries its allocation and looks nothing up
-        cfg = sa.FprasConfig(epsilon=0.4, delta=0.3, seed=4, workers=workers)
-        return sa.fpras_shapley(scn, cache, cfg=cfg)
+        cfg = sa.RangeSamplerConfig(epsilon=0.3, delta=0.1, seed=4, workers=workers)
+        return sa.range_sampler_shapley(scn, cache, cfg=cfg)
 
-    if solver in ("range", "bounds"):
-        # marginals come from greedies and add/remove searches, with no
-        # lookup, and the jobs run the same searches at any worker count
-        metas = []
-        for workers in (1, 2):
-            cache = sa.CharacteristicCache()
-            metas.append(run(workers, cache).meta)
-            assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
-        for meta in metas:
-            assert "cache" not in meta
-            assert meta["matchings"] > 0
-            assert meta["searches"] > 0
-        assert metas[0]["searches"] == metas[1]["searches"]
-        return
-    two = run(2).meta["cache"]
-    # lookups the passed cache sees while the sampling jobs run
-    cache = sa.CharacteristicCache()
-    seen = []
-    run_jobs = _pool.run_jobs
-
-    def spy(fn, jobs, payload, workers=1):
-        before = cache.hits + cache.misses
-        out = run_jobs(fn, jobs, payload, workers=workers)
-        seen.append(cache.hits + cache.misses - before)
-        return out
-
-    monkeypatch.setattr(_pool, "run_jobs", spy)
-    one = run(1, cache).meta["cache"]
-    lookups = one["hits"] + one["misses"]
-    assert seen[0] > 0
-    # the permutation sampler builds its worth table, then walks it
-    assert seen == ([lookups, 0] if solver == "fpras" else [lookups])
-    assert lookups == two["hits"] + two["misses"]
-    if solver == "fpras":
-        monkeypatch.setattr("shapalloc.sampling.TABLE_LIMIT", 4)
-        cfg = sa.FprasConfig(epsilon=0.6, delta=0.3, seed=4)
-        loop = sa.fpras_shapley(scn, sa.CharacteristicCache(), cfg=cfg).meta
-        assert loop["mode"] == "loop"
-        assert loop["cache"] == {"hits": 0, "misses": 0}
-        assert loop["matchings"] == 0
+    # marginals come from greedies and add/remove searches, with no
+    # lookup, and the jobs run the same searches at any worker count
+    metas = []
+    for workers in (1, 2):
+        cache = sa.CharacteristicCache()
+        metas.append(run(workers, cache).meta)
+        assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+    for meta in metas:
+        assert "cache" not in meta
+        assert meta["matchings"] > 0
+        assert meta["searches"] > 0
+    assert metas[0]["searches"] == metas[1]["searches"]
