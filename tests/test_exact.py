@@ -116,16 +116,20 @@ class TestExactShapley:
         many = [r.value for r in sa.exact_shapley(scn, workers=3).agents]
         assert one == many  # job merge order is fixed, so bit-identical
 
-    def test_several_jobs_at_one_and_two_workers(self, monkeypatch):
+    def test_prefilled_cache_at_one_and_two_workers(self, monkeypatch):
         # several jobs, so that two workers share them out, each valuing
-        # components in its own store
+        # components in its own store; the passed cache is neither read
+        # nor written
         monkeypatch.setattr("shapalloc.exact.JOB_BITS", 6)
         scn = random_scenario(221, n=9)
         reports = []
         for workers in (1, 2):
             cache = sa.CharacteristicCache()
+            for m in range(0, 1 << scn.n, 5):
+                cache.put(m, sa.char_value(scn, m))
+            before = (dict(cache.store), cache.hits, cache.misses)
             reports.append(sa.exact_shapley(scn, cache, workers=workers))
-            assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+            assert (dict(cache.store), cache.hits, cache.misses) == before
             assert "cache" not in reports[-1].meta
         one, two = ([r.value.hex() for r in rep.agents] for rep in reports)
         assert one == two

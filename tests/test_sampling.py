@@ -355,18 +355,37 @@ def test_loop_walks_rebuild_the_permutation_sampler(monkeypatch):
         assert [r.value.hex() for r in rep.agents] == [float(v).hex() for v in values], inst
 
 
-@pytest.mark.parametrize("solver", ["range", "bounds"])
+@pytest.mark.parametrize("solver", ["range", "exact", "bounds"])
 def test_cache_stats_count_each_sampling_lookup_once(monkeypatch, solver):
     scn = random_scenario(480, n=10)
-    # several sampling jobs
+    # several exact jobs, so that two workers share them out
+    monkeypatch.setattr("shapalloc.exact.JOB_BITS", 8)
+    # and several sampling jobs
     monkeypatch.setattr("shapalloc.sampling.BATCH", 16)
 
     def run(workers, cache):
+        if solver == "exact":
+            return sa.exact_shapley(scn, cache, workers=workers)
         if solver == "bounds":
             return sa.shapley_bounds(scn, cache, workers=workers)
         cfg = sa.RangeSamplerConfig(epsilon=0.3, delta=0.1, seed=4, workers=workers)
         return sa.range_sampler_shapley(scn, cache, cfg=cfg)
 
+    if solver == "exact":
+        # worths come from component greedies, with no lookup and no search,
+        # and the values are the same at any worker count
+        reports = []
+        for workers in (1, 2):
+            cache = sa.CharacteristicCache()
+            reports.append(run(workers, cache))
+            assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
+        for rep in reports:
+            assert "cache" not in rep.meta
+            assert rep.meta["matchings"] > 0
+            assert rep.meta["searches"] == 0
+        one, two = ([r.value.hex() for r in rep.agents] for rep in reports)
+        assert one == two
+        return
     # marginals come from greedies and add/remove searches, with no
     # lookup, and the jobs run the same searches at any worker count
     metas = []
