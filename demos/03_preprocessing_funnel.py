@@ -1,10 +1,10 @@
 """Shrinking a large instance before solving anything.
 
 Four value-preserving reductions: drop agents with nothing to allocate,
-drop worthless goods (they only fake connectivity), resolve agents whose
-solo optimum equals their grand-coalition marginal, and split the rest into
-independent connected components.  On assignment-market shapes most of the
-instance melts away and one dominant component remains.
+drop worthless goods (they never enter an allocation), resolve in one pass
+the agents whose solo optimum equals their grand-coalition marginal, and
+split the rest into independent connected components.  On assignment-market
+shapes most of the instance melts away and one dominant component remains.
 """
 
 import shapalloc as sa

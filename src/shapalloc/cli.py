@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p):
         p.add_argument(
-            "--threads", type=_worker_count, default=default_workers(),
+            "--threads", type=_worker_count, default=None,
             help="worker processes (default: SHAPALLOC_THREADS or CPU count)",
         )
 
@@ -339,6 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "threads", 0) is None:
+            args.threads = default_workers()
         return args.fn(args)
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

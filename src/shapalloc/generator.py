@@ -4,8 +4,8 @@ Agents stand for authors, goods for their works: each good is claimed by
 1 + Geometric(coauthor_prob) distinct agents (truncated), which reproduces
 the heavy mass of single-author goods with occasional wider collaborations,
 and values come from a small discrete grade scale that includes zero (a
-rejected/worthless good still creates co-authorship links until it is
-stripped by preprocessing).
+rejected/worthless good, which links no co-authors in the agents graph and
+is stripped by preprocessing).
 """
 
 from __future__ import annotations

@@ -306,11 +306,9 @@ class AgentsGraph:
                     out.append((i, j))
         return out
 
-    def components(self, within: int | None = None) -> list[int]:
-        """Connected components (as masks) of the graph restricted to ``within``."""
-        if within is None:
-            within = (1 << self.n) - 1
-        return list(connected_components(within, self.neighbor_masks))
+    def components(self) -> list[int]:
+        """Connected components of the graph, as masks."""
+        return list(connected_components((1 << self.n) - 1, self.neighbor_masks))
 
 
 def build_agents_graph(scenario: AllocationScenario) -> AgentsGraph:

@@ -4,12 +4,12 @@ Four reductions are applied, in an order chosen so that each one can expose
 more work for the next:
 
 1. agents with no interests are resolved at value 0;
-2. zero-value goods are dropped (they never enter an optimal allocation, but
-   they fake connectivity between agents);
+2. zero-value goods are dropped (they never enter an optimal allocation and
+   link no agents, so this only shrinks the scenario);
 3. agents whose solo optimum equals their marginal contribution to the grand
    coalition have no synergy with anyone, so their Shapley value is exactly
-   that solo optimum; they are resolved and removed, repeatedly, until no
-   agent qualifies;
+   that solo optimum; they are resolved and removed in one pass, since
+   removing one moves no other agent's marginal;
 4. the remainder splits into connected components of the agents graph, each
    an independent game; inside each component, goods too weak to ever affect
    an agent's marginal contribution are pruned from that agent's interest
@@ -18,10 +18,10 @@ more work for the next:
 The result is a partition: every original agent is either resolved with a
 final value or belongs to exactly one residual component.
 
-Stages 3 and 4 need every agent's marginal v(C) - v(C - i) to its whole
-component C.  Each takes them from ``matching.removal_marginals``: one
-greedy for C, then each member removed from that optimum and added back,
-instead of one greedy per agent.
+Stages 3 and 4 need every agent's marginal v(C) - v(C - i) to a coalition
+C: the whole scenario for stage 3, each component for stage 4.  Both take
+them from ``matching.removal_marginals``: one greedy for C, then each member
+removed from that optimum and added back, instead of one greedy per agent.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matching import removal_marginals
-from .model import AllocationScenario, connected_components, iter_bits
+from .model import AllocationScenario
 
 REL_TOL = 1e-9
 
@@ -125,44 +125,37 @@ def separate_singletons(
     scenario: AllocationScenario,
     tol: float = REL_TOL,
 ) -> tuple[dict[str, float], AllocationScenario]:
-    """Resolve synergy-free agents at their solo optimum, to a fixpoint.
+    """Resolve synergy-free agents at their solo optimum, in one pass.
 
-    An agent i qualifies when opt({i}) + opt(N - i) <= opt(N), i.e. when its
-    marginal contribution to the grand coalition already equals everything it
-    could ever get alone.  Anti-monotonicity of marginals then pins every one
-    of its marginal contributions, hence its Shapley value, to opt({i}).
-    Removing such an agent can create new qualifiers, so the test is repeated
-    on the shrinking remainder.  Each pass takes the marginals of every
-    component's members to the rest of their component from
-    ``removal_marginals``: one greedy per component, then at most k
-    searches removing each member and k adding it back.
+    An agent i qualifies when marg(i, N) = v(N) - v(N - i) reaches its solo
+    optimum opt({i}): anti-monotonicity of marginals then pins every one of
+    its marginal contributions, hence its Shapley value, to opt({i}).  The
+    marginals come from one ``removal_marginals`` call: one greedy for the
+    whole scenario, then at most 2k searches per agent.
+
+    One pass finds every qualifier.  If marg(i, N) = opt({i}), then
+    v(C + i) = v(C) + opt({i}) for every C, so marg(j, C + i) = marg(j, C)
+    for every other agent j: removing i moves no other marginal, and a
+    second pass would find nothing new.  The test passes within
+    ``tol * max(1, opt({i}))``; removing such an i raises marg(j, .) by
+    marg(i, N - j) - marg(i, N), which lies in [0, opt({i}) - marg(i, N)],
+    so at most by that same tolerance.  An agent that would pass only after
+    such a near-tie neighbour is removed therefore stays in the remainder,
+    where its component's solver values it in the same reduced game; a
+    fixpoint would have resolved it too.
     """
-    neigh = scenario.graph.neighbor_masks
-    live = scenario.full_mask
+    margs = removal_marginals(scenario, scenario.full_mask)
     resolved: dict[str, float] = {}
-    changed = True
-    while changed and live:
-        changed = False
-        for comp in connected_components(live, neigh):
-            members = list(iter_bits(comp))
-            if len(members) == 1:
-                i = members[0]
-                resolved[scenario.agents[i]] = float(scenario.solo_value[i])
-                live &= ~comp
-                changed = True
-                continue
-            margs = removal_marginals(scenario, comp)
-            for i in members:
-                solo = float(scenario.solo_value[i])
-                marg = margs[i]
-                if marg >= solo - tol * max(1.0, solo):
-                    resolved[scenario.agents[i]] = solo
-                    live &= ~(1 << i)
-                    changed = True
-    if live == scenario.full_mask:
+    keep: list[str] = []
+    for i, a in enumerate(scenario.agents):
+        solo = float(scenario.solo_value[i])
+        if margs[i] >= solo - tol * max(1.0, solo):
+            resolved[a] = solo
+        else:
+            keep.append(a)
+    if not resolved:
         return {}, scenario
-    remainder = scenario.restrict(scenario.ids_of(live))
-    return resolved, remainder
+    return resolved, scenario.restrict(keep)
 
 
 def prune_useless_goods(

@@ -118,8 +118,8 @@ def _checked(record):
     return record
 
 
-def merge_reports(parts: Iterable[ShapleyReport], meta: dict | None = None) -> ShapleyReport:
+def merge_reports(parts: Iterable[ShapleyReport]) -> ShapleyReport:
     agents: list[AgentResult] = []
     for p in parts:
         agents.extend(p.agents)
-    return ShapleyReport(agents=agents, meta=meta or {})
+    return ShapleyReport(agents=agents)

@@ -39,6 +39,33 @@ def brute_force_opt(scenario, mask: int | None = None) -> float:
     return best
 
 
+def separability_passes(scenario, tol: float = 1e-9) -> list[set[str]]:
+    """The separability test applied as a fixpoint, by brute force.
+
+    On each pass every live agent i with v(L) - v(L - i) >= opt({i}) -
+    tol * max(1, opt({i})) is resolved, L being the live agents at the start
+    of the pass.  Returns the agents resolved on each pass, ending with the
+    first pass that resolves nothing.
+    """
+    live = scenario.full_mask
+    passes: list[set[str]] = []
+    while True:
+        whole = brute_force_opt(scenario, live)
+        found = set()
+        for i in range(scenario.n):
+            if not live >> i & 1:
+                continue
+            solo = brute_force_opt(scenario, 1 << i)
+            marg = whole - brute_force_opt(scenario, live & ~(1 << i))
+            if marg >= solo - tol * max(1.0, solo):
+                found.add(i)
+        passes.append({scenario.agents[i] for i in found})
+        if not found:
+            return passes
+        for i in found:
+            live &= ~(1 << i)
+
+
 def char_table(scenario) -> dict[int, float]:
     """Characteristic function for every coalition mask, brute forced."""
     return {m: brute_force_opt(scenario, m) for m in range(1 << scenario.n)}

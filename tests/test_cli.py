@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import shapalloc as sa
-from shapalloc.cli import main
+from shapalloc.cli import build_parser, main
 
 from conftest import three_agent_game
 
@@ -194,6 +194,18 @@ def test_bad_threads_environment_fails_cleanly(ref_file, capsys, monkeypatch, en
     assert err.startswith("error: SHAPALLOC_THREADS must be a positive integer")
 
 
+def test_bad_threads_environment_spares_commands_without_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SHAPALLOC_THREADS", "abc")
+    assert run_cli("generate", "--agents", "3", "--out", str(tmp_path / "g.json")) == 0
+    assert sa.load_scenario(str(tmp_path / "g.json")).n == 3
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--version")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("shapalloc ")
+    args = build_parser().parse_args(["solve", "--scenario", "s.json", "--threads", "1"])
+    assert args.threads == 1 and isinstance(args.threads, int)
+
+
 def test_mistyped_scenario_record_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({
@@ -368,3 +380,40 @@ def test_only_the_cli_prints():
                     and node.func.id == "print"):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names inside an annotation, quoted ones included."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names |= _annotation_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export, so it is left out
+    unused = []
+    for path in sorted((SRC / "shapalloc").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported: dict[str, int] = {}
+        used: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+                if ann is not None:
+                    used |= _annotation_names(ann)
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import shapalloc as sa
+from shapalloc import matching
 
 from conftest import exact_values, random_scenario
+from oracles import separability_passes
 
 
 def shapley_map(scn, cache=None):
@@ -141,6 +143,44 @@ class TestSeparateSingletons:
                 if m == others:
                     break
                 m = (m - others) & others
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_pass_resolves_the_whole_fixpoint(self, k):
+        # removing a synergy-free agent moves no other marginal, so the
+        # fixpoint's first pass is all there is to find
+        for seed in range(20):
+            scn = random_scenario(170 + seed, n=3 + seed % 6, k=k)
+            passes = separability_passes(scn)
+            resolved, remainder = sa.separate_singletons(scn)
+            assert set(resolved) == passes[0]
+            assert all(not p for p in passes[1:])
+            assert set(remainder.agents) == set(scn.agents) - passes[0]
+
+    def test_near_tie_stays_for_its_solver(self):
+        # x2 passes within the tolerance; only without x2 does x1 pass too,
+        # so x1 is left to the exact solver, which gives it its solo value
+        scn = sa.AllocationScenario(
+            ["x0", "x1", "x2"],
+            [("g0", 0.9999999994), ("g1", 0.9999999982), ("g2", 0.9999999982),
+             ("g3", 0.9999999994), ("g4", 0.9999999988), ("g5", 0.9999999982)],
+            {"x0": ["g2", "g5"], "x1": ["g3"], "x2": ["g0", "g1", "g3"]},
+            k=2,
+        )
+        passes = separability_passes(scn)
+        assert passes[:2] == [{"x0", "x2"}, {"x1"}]
+        resolved, remainder = sa.separate_singletons(scn)
+        assert set(resolved) == passes[0]
+        assert remainder.agents == ("x1",)
+        rec = sa.solve(scn, threads=1).by_agent()["x1"]
+        assert rec.method == "exact"
+        assert rec.value.hex() == "0x1.fffffffad8960p-1"
+
+    def test_one_greedy_for_the_whole_scenario(self):
+        scn = sa.generate(agents=40, coauthor_prob=0.3, k=2, seed=7, max_claimers=3)
+        assert len(scn.graph.components()) > 3
+        before = matching.solve_calls()
+        sa.separate_singletons(scn)
+        assert matching.solve_calls() - before == 1
 
 
 class TestPruneUselessGoods:
