@@ -8,12 +8,14 @@ keeps its component values in the payload, so each worker fills its own
 copy.  A memo never changes a value, so per-worker memos cannot change a
 result, only how many matchings run.
 
-Each job is wrapped with the deltas of ``matching.solve_calls()`` (greedy
-matchings) and of ``matching.search_calls()`` (add and remove searches),
-and the runner returns their sums next to the results.  Partial results come
-back strictly in job order, so the final numbers are identical whatever the
-worker count or scheduling -- the single-worker run is the reference and the
-parallel runs reproduce it bit for bit.
+Each job is wrapped by ``counted``, which takes the deltas of
+``matching.solve_calls()`` (greedy matchings) and of
+``matching.search_calls()`` (add and remove searches), and the runner
+returns their sums next to the results.  A solver's single in-process step
+calls ``counted`` directly.  Partial results come back strictly in job
+order, so the final numbers are identical whatever the worker count or
+scheduling -- the single-worker run is the reference and the parallel runs
+reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -33,16 +35,17 @@ def _init_worker(payload):
     _PAYLOAD = payload
 
 
-def _counted(fn, payload, job):
-    """``fn``'s result and the matchings and searches it ran."""
+def counted(fn: Callable[..., Any], *args: Any) -> tuple[Any, dict]:
+    """``fn(*args)`` and the work it ran, ``{"matchings": m, "searches": s}``."""
     m0, s0 = matching.solve_calls(), matching.search_calls()
-    out = fn(payload, job)
-    return out, (matching.solve_calls() - m0, matching.search_calls() - s0)
+    out = fn(*args)
+    return out, {"matchings": matching.solve_calls() - m0,
+                 "searches": matching.search_calls() - s0}
 
 
 def _call(args):
     fn, job = args
-    return _counted(fn, _PAYLOAD, job)
+    return counted(fn, _PAYLOAD, job)
 
 
 def default_workers() -> int:
@@ -67,7 +70,7 @@ def run_jobs(
     ``{"matchings": m, "searches": s}``.
     """
     if workers <= 1 or len(jobs) <= 1:
-        counted = [_counted(fn, payload, job) for job in jobs]
+        done = [counted(fn, payload, job) for job in jobs]
     else:
         try:
             ctx = mp.get_context("fork")
@@ -79,6 +82,6 @@ def run_jobs(
             initializer=_init_worker,
             initargs=(payload,),
         ) as pool:
-            counted = list(pool.map(_call, [(fn, job) for job in jobs]))
-    m, s = (sum(c[i] for _, c in counted) for i in range(2))
-    return [out for out, _ in counted], {"matchings": m, "searches": s}
+            done = list(pool.map(_call, [(fn, job) for job in jobs]))
+    work = {key: sum(w[key] for _, w in done) for key in ("matchings", "searches")}
+    return [out for out, _ in done], work

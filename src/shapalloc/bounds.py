@@ -138,7 +138,7 @@ def shapley_bounds(
     t0 = time.perf_counter()
     mask = scenario.full_mask if agents is None else scenario.mask_of(agents)
     indices = list(iter_bits(mask))
-    [grand], base = _pool.run_jobs(greedy, [scenario.full_mask], scenario)
+    grand, base = _pool.counted(greedy, scenario, scenario.full_mask)
     results, work = _pool.run_jobs(
         _bounds_job, indices, (scenario, max_neigh, grand), workers=workers
     )

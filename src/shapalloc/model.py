@@ -332,18 +332,7 @@ def connected_components(mask: int, neighbor_masks: Sequence[int]) -> Iterator[i
     """
     remaining = mask
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
-        while frontier:
-            reach = 0
-            f = frontier
-            while f:
-                low = f & -f
-                f ^= low
-                reach |= neighbor_masks[low.bit_length() - 1]
-            frontier = reach & remaining & ~comp
-            comp |= frontier
+        comp = component_of((remaining & -remaining).bit_length() - 1, remaining, neighbor_masks)
         yield comp
         remaining &= ~comp
 

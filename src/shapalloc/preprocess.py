@@ -10,26 +10,25 @@ more work for the next:
    coalition have no synergy with anyone, so their Shapley value is exactly
    that solo optimum; they are resolved and removed in one pass, since
    removing one moves no other agent's marginal;
-4. the remainder splits into connected components of the agents graph, each
-   an independent game; inside each component, goods too weak to ever affect
-   an agent's marginal contribution are pruned from that agent's interest
-   set, and the component is re-split in case pruning disconnected it.
+4. goods too weak to ever affect an agent's marginal contribution are
+   pruned from that agent's interest set, over the whole remainder at once,
+   and the remainder splits into connected components of the agents graph,
+   each an independent game.
 
 The result is a partition: every original agent is either resolved with a
 final value or belongs to exactly one residual component.
 
-Stages 3 and 4 need every agent's marginal v(C) - v(C - i) to a coalition
-C: the whole scenario for stage 3, each component for stage 4.  Both take
-them from ``matching.removal_marginals``: one greedy for C, then each member
-removed from that optimum and added back, instead of one greedy per agent.
+Stages 3 and 4 need every agent's marginal v(C) - v(C - i) to the
+coalition C of all agents still live: the whole scenario for stage 3, the
+remainder for stage 4.  Both take them from ``matching.removal_marginals``:
+one greedy for C, then each member removed from that optimum and added
+back, instead of one greedy per agent.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .matching import removal_marginals
 from .model import AllocationScenario
@@ -165,35 +164,38 @@ def prune_useless_goods(
     """Drop goods from interest sets that can never lift a marginal contribution.
 
     A good g is useless for agent i when even combined with i's best k-1
-    other goods it stays strictly below i's marginal contribution to the
-    grand coalition: whatever coalition i joins, an optimal allocation never
-    needs g for i.  (With capacity 2 the combination degenerates to g plus
-    the single best alternative.)  Only i's own interest set changes; other
-    agents keep the good.  The grand marginals come from one greedy and
-    ``removal_marginals``.
+    other goods it stays strictly below i's marginal contribution
+    marg(i, N) to the grand coalition: whatever coalition i joins, an
+    optimal allocation never needs g for i.  Only i's own interest set
+    changes; other agents keep the good.
+
+    In closed form, with ``top`` the first k-1 of i's solo goods: a good in
+    ``top``, combined with its best k-1 other goods, forms i's solo bundle,
+    worth opt({i}) >= marg(i, N), so it is never pruned.  Every other good
+    j is combined with exactly ``top`` and pruned iff ``value(j) + sum(top)
+    < marg - tol * max(1, marg)``.  The grand marginals come from one
+    greedy and ``removal_marginals``.
+
+    Components share no positive good and keep their relative order of
+    agents and goods, so the greedy for a union of components allocates each
+    one exactly as its own greedy does, and the marginals, hence the pruned
+    pairs, are bit for bit those of pruning each component alone.
     """
-    k = scenario.k
+    values = scenario.good_value_list
     margs = removal_marginals(scenario, scenario.full_mask)
     pruned: list[tuple[str, str]] = []
     new_interest: dict[str, list[str]] = {}
     for i, a in enumerate(scenario.agents):
-        row = scenario.interest[i]
-        if not row:
-            new_interest[a] = []
-            continue
-        marg = margs[i]
-        vals = np.asarray([scenario.good_values[j] for j in row])
-        order = np.argsort(-vals, kind="stable")
-        keep: list[int] = []
-        for j in row:
-            vg = float(scenario.good_values[j])
-            rest = [int(o) for o in order if row[int(o)] != j][: k - 1]
-            top_rest = float(sum(vals[o] for o in rest))
-            if vg + top_rest < marg - tol * max(1.0, marg):
+        top = scenario.solo_goods(i)[: scenario.k - 1]
+        top_rest = float(sum(values[g] for g in top))
+        bar = margs[i] - tol * max(1.0, margs[i])
+        keep: list[str] = []
+        for j in scenario.interest[i]:
+            if j not in top and values[j] + top_rest < bar:
                 pruned.append((a, scenario.good_ids[j]))
             else:
-                keep.append(j)
-        new_interest[a] = [scenario.good_ids[j] for j in keep]
+                keep.append(scenario.good_ids[j])
+        new_interest[a] = keep
     if not pruned:
         return scenario, []
     return scenario.with_interest(new_interest), pruned
@@ -217,20 +219,11 @@ def run_pipeline(
 
     resolved, s = separate_singletons(s, tol=tol)
     stage["separable_agents_resolved"] = len(resolved)
+    stage["components_after_split"] = len(s.graph.components())
 
-    comps = split_components(s) if s.n else []
-    stage["components_after_split"] = len(comps)
-
-    pruned_all: list[tuple[str, str]] = []
-    final_components: list[AllocationScenario] = []
-    for comp in comps:
-        comp2, pruned = prune_useless_goods(comp, tol=tol)
-        pruned_all.extend(pruned)
-        if pruned:
-            final_components.extend(split_components(comp2))
-        else:
-            final_components.append(comp2)
-    stage["useless_pairs_pruned"] = len(pruned_all)
+    s, pruned = prune_useless_goods(s, tol=tol)
+    stage["useless_pairs_pruned"] = len(pruned)
+    final_components = split_components(s) if s.n else []
     stage["final_components"] = len(final_components)
 
     report = PreprocessReport(
@@ -238,7 +231,7 @@ def run_pipeline(
         removed_empty=empty,
         null_goods_removed=null_removed,
         resolved=resolved,
-        pruned_pairs=tuple(pruned_all),
+        pruned_pairs=tuple(pruned),
         components=final_components,
         stage_counts=stage,
         wall_time=time.perf_counter() - t0,

@@ -180,10 +180,6 @@ def _walk_job(payload, job):
     return key, np.asarray(sums), hits, steps
 
 
-def _worth_table_job(scenario, n):
-    return worths(scenario, 0, 1 << n, {})
-
-
 def _fpras_table_job(payload, job):
     vtab, neigh_arr, solo_arr, n, seed = payload
     run, batch_idx, count = job
@@ -233,7 +229,7 @@ def fpras_shapley(
 
     budgets = [(run, perms_per_run) for run in range(cfg.runs)]
     if use_table:
-        [vtab], work = _pool.run_jobs(_worth_table_job, [n], scenario)
+        vtab, work = _pool.counted(worths, scenario, 0, 1 << n, {})
         payload = (
             vtab,
             np.asarray(scenario.graph.neighbor_masks, dtype=np.int64),
@@ -359,10 +355,6 @@ class RangeSamplerConfig:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
-def _ranges_job(scenario, _):
-    return compute_ranges(scenario)
-
-
 def range_sampler_shapley(
     scenario: AllocationScenario,
     cache: CharacteristicCache | None = None,
@@ -386,8 +378,8 @@ def range_sampler_shapley(
     ``meta["walks"]`` counts the walks and ``meta["walk_steps"]`` the
     contributions computed, counted or not.
 
-    The ranges come from ``compute_ranges`` in a job of their own, so
-    ``meta["matchings"]`` counts its one greedy and ``meta["searches"]`` its
+    The ranges come from ``compute_ranges``, counted by ``_pool.counted``,
+    so ``meta["matchings"]`` counts its one greedy and ``meta["searches"]`` its
     removal searches plus the walks' ``add_agent`` calls.  Nothing looks a
     worth up, so ``cache`` is inert; it stays so that callers passing it
     positionally keep working.
@@ -396,7 +388,7 @@ def range_sampler_shapley(
     n = scenario.n
     if n == 0:
         return ShapleyReport(agents=[], meta={"method": "range-sample", "n": 0})
-    [ranges], base = _pool.run_jobs(_ranges_job, [None], scenario)
+    ranges, base = _pool.counted(compute_ranges, scenario)
     delta_i = cfg.delta / n
 
     eps_i: dict[str, float] = {}

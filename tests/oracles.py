@@ -66,6 +66,28 @@ def separability_passes(scenario, tol: float = 1e-9) -> list[set[str]]:
             live &= ~(1 << i)
 
 
+def useless_pairs(scenario, tol: float = 1e-9) -> list[tuple[str, str]]:
+    """(agent, good) pairs that pruning drops, by the rule spelled out.
+
+    Good g is useless for agent i when g plus i's best k-1 other goods,
+    found by sorting the rest of i's interest set, stays below
+    marg(i, N) - tol * max(1, marg(i, N)); the marginals are brute forced.
+    Pairs come in agent order, each agent's goods in interest order.
+    """
+    whole = brute_force_opt(scenario)
+    values = scenario.good_values
+    pairs = []
+    for i, a in enumerate(scenario.agents):
+        marg = whole - brute_force_opt(scenario, scenario.full_mask & ~(1 << i))
+        row = scenario.interest[i]
+        for j in row:
+            others = sorted((float(values[o]) for o in row if o != j), reverse=True)
+            best = float(values[j]) + sum(others[: scenario.k - 1])
+            if best < marg - tol * max(1.0, marg):
+                pairs.append((a, scenario.good_ids[j]))
+    return pairs
+
+
 def char_table(scenario) -> dict[int, float]:
     """Characteristic function for every coalition mask, brute forced."""
     return {m: brute_force_opt(scenario, m) for m in range(1 << scenario.n)}

@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 import shapalloc as sa
 
-from conftest import random_scenario, three_agent_game
+from conftest import random_scenario
 from oracles import brute_force_opt
 
 

@@ -1,15 +1,29 @@
-import numpy as np
 import pytest
 
 import shapalloc as sa
 from shapalloc import matching
 
 from conftest import exact_values, random_scenario
-from oracles import separability_passes
+from oracles import separability_passes, useless_pairs
+from test_acceptance import FUNNEL
 
 
 def shapley_map(scn, cache=None):
     return exact_values(scn, cache=cache)
+
+
+def per_component_pruning(scn):
+    """Pruned pairs and component agent sets of pruning one component at a
+    time: split the remainder, prune each component, re-split what changed."""
+    _, s = sa.drop_empty_agents(scn)
+    _, s = sa.separate_singletons(sa.strip_null_goods(s))
+    pairs: set[tuple[str, str]] = set()
+    comps = []
+    for comp in sa.split_components(s) if s.n else []:
+        comp2, pruned = sa.prune_useless_goods(comp)
+        pairs.update(pruned)
+        comps.extend(sa.split_components(comp2) if pruned else [comp2])
+    return pairs, {frozenset(c.agents) for c in comps}
 
 
 class TestStripNullGoods:
@@ -217,6 +231,18 @@ class TestPruneUselessGoods:
             for a in scn.agents:
                 assert after[a] == pytest.approx(before[a], rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_closed_form_matches_the_rule_spelled_out(self, k):
+        # graded values, zero-value goods and ties among them; each good is
+        # set against its best k-1 other goods, the marginals brute forced
+        pruned = 0
+        for seed in range(24):
+            scn = random_scenario(300 + seed, n=2 + seed % 7, k=k)
+            _, pairs = sa.prune_useless_goods(scn)
+            assert pairs == useless_pairs(scn)
+            pruned += len(pairs)
+        assert pruned > 0
+
 
 class TestPipeline:
     def test_fully_disjoint_instance_resolves_everyone(self):
@@ -265,6 +291,24 @@ class TestPipeline:
         if report.components:
             sizes = sorted((c.n for c in report.components), reverse=True)
             assert sizes[0] >= 3
+
+    def test_one_greedy_to_separate_and_one_to_prune(self):
+        scn = sa.generate(agents=80, coauthor_prob=0.3, k=2, seed=7, max_claimers=3)
+        before = matching.solve_calls()
+        report = sa.run_pipeline(scn)
+        assert matching.solve_calls() - before == 2
+        assert report.stage_counts["components_after_split"] > 3
+        assert report.pruned_pairs
+
+    def test_whole_remainder_pruning_equals_per_component_pruning(self):
+        # components share no positive good, so one greedy for the remainder
+        # gives each agent the marginal its own component's greedy gives
+        scenarios = [random_scenario(190 + seed, n=30, k=1 + seed % 3) for seed in range(12)]
+        for scn in scenarios + [sa.generate(**FUNNEL)]:
+            report = sa.run_pipeline(scn)
+            pairs, comps = per_component_pruning(scn)
+            assert set(report.pruned_pairs) == pairs
+            assert {frozenset(c.agents) for c in report.components} == comps
 
     def test_stage_counts_present(self):
         report = sa.run_pipeline(random_scenario(160, n=9))

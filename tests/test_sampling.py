@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import shapalloc as sa
-from shapalloc import sampling
+from shapalloc import exact, sampling
 from shapalloc.matching import Allocation
 from shapalloc.sampling import permutation_walk
 
@@ -174,7 +174,7 @@ class TestFpras:
         for inst in range(12):
             scn = random_scenario(900 + inst, n=3 + inst % 10)
             n = scn.n
-            vtab = sampling._worth_table_job(scn, n)
+            vtab = exact.worths(scn, 0, 1 << n, {})
             neigh = np.asarray(scn.graph.neighbor_masks, dtype=np.int64)
             table_payload = (vtab, neigh, scn.solo_value, n, seed)
             # every agent is owed every walk of these jobs
