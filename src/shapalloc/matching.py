@@ -21,8 +21,10 @@ augmenting searches, and ``remove_agent`` is its mirror: it takes one member
 out with at most ``k`` searches.  Both return the member's marginal
 contribution, and both leave an optimal allocation behind, so one optimum
 from the greedy can be carried through many coalitions that differ by one
-member at a time.  Both samplers' permutation walks carry the prefix's
-optimum through ``add_agent``, one call per step; ``marginal_gain`` (the
+member at a time.  ``add_agent`` bounds each augmenting search by value
+(see its docstring), which moves no gain.  Both samplers' permutation walks
+carry the prefix's optimum through ``add_agent``, one call per step but the
+last, whose marginal comes from ``removal_marginals``; ``marginal_gain`` (the
 greedy plus ``add_agent``) serves one-off marginals through
 ``model.marginal_restricted``; ``removal_marginals`` gives every member's
 marginal to the rest of a coalition from one greedy, for separability,
@@ -188,45 +190,83 @@ def add_agent(
     a reachability search over displacement moves and the best gain is the
     most valuable reachable free good.  Gains are non-increasing, so the
     greedy sum over at most k units is exact (Edmonds 1971).
+
+    The search is bounded by value.  Take an optimal allocation, a held good
+    g and any path that frees g and ends at a free good d: the path is an
+    exchange inside the optimum, so v(d) <= v(g).  Hence no unit gains more
+    than the best good ``i`` does not hold yet, nor more than the unit
+    before it, and a search may stop at the first free good worth that
+    ``ceiling``.  Goods are scanned in the greedy's order
+    (``scenario.ranked_interest``, value descending), ``i``'s own first, so
+    the first free good of ``i``'s worth the ceiling is taken with no
+    search, and every scan stops at the first good worth no more than the
+    best free good found so far: a held good is not expanded then.  Which
+    optimal augmentation is applied may differ from an unbounded search,
+    but not its gain: each unit gain is v_u - v_(u-1), the optimum with
+    ``i`` allowed u goods less the optimum with u - 1, which depends only on
+    the coalition.  So every gain is the same float, summed in the same
+    order.
     """
     global _SEARCH_CALLS
     _SEARCH_CALLS += 1
-    positive, values = scenario.positive_interest, scenario.good_value_list
-    own = positive[i]
+    ranked, values = scenario.ranked_interest, scenario.good_value_list
+    own = ranked[i]
     mine = held[i] = []
     total = 0.0
     if not own:
         return total
-    # No unit gains more than the best good ``i`` wants (else the displaced
-    # holders could have shifted without ``i``) or than the unit before it,
-    # so a search may stop at the first free good worth ``ceiling``: it is
-    # the first maximum in breadth-first order either way.
-    ceiling = values[scenario.solo_goods(i)[0]]
+    gain = values[own[0]]
     for _ in range(min(scenario.k, len(own))):
+        for g in own:
+            if g not in mine:
+                break
+        ceiling = values[g]
+        if gain < ceiling:
+            ceiling = gain
+        # i's goods, best first: the first free one ends the scan and is
+        # taken with no search if it is worth the ceiling; held ones before
+        # it start the breadth-first search
         best_good = -1
         best_val = 0.0
-        # breadth-first over displacement moves; every good queued is a key
-        # of ``parent``, so each is visited once
-        parent = {g: -1 for g in own if g not in mine}
-        queue = list(parent)
-        for g in queue:
-            h = holder.get(g)
-            if h is None:
-                if values[g] > best_val:
-                    best_val = values[g]
-                    best_good = g
-                    if best_val >= ceiling:
-                        break
+        parent: dict[int, int] = {}
+        queue = []
+        for g in own:
+            if g in mine:
                 continue
-            theirs = held[h]
-            for g2 in positive[h]:
-                if g2 not in parent and g2 not in theirs:
+            v = values[g]
+            if v <= best_val:
+                break
+            parent[g] = -1
+            if g in holder:
+                queue.append(g)
+            else:
+                best_good = g
+                best_val = v
+        if best_val < ceiling:
+            # breadth-first over displacement moves
+            for g in queue:
+                if values[g] <= best_val:
+                    continue
+                h = holder[g]
+                theirs = held[h]
+                for g2 in ranked[h]:
+                    v = values[g2]
+                    if v <= best_val:
+                        break
+                    if g2 in parent or g2 in theirs:
+                        continue
                     parent[g2] = g
-                    queue.append(g2)
+                    if g2 in holder:
+                        queue.append(g2)
+                    else:
+                        best_good = g2
+                        best_val = v
+                if best_val >= ceiling:
+                    break
         if best_good < 0:
             break
         total += best_val
-        ceiling = best_val
+        gain = best_val
         # apply the chain: walk back to a good wanted by i, shifting holders
         g = best_good
         prev = parent[g]

@@ -100,16 +100,19 @@ class AllocationScenario:
         rank[order] = np.arange(n_goods)
         self.good_rank: list[int] = rank.tolist()
 
-        # Best goods an agent can get alone: its first `k` goods in the
-        # greedy's order.  This is the canonical singleton worth used by
-        # every solver, so the float is computed once here.
-        self._solo_goods: list[tuple[int, ...]] = []
+        # Each agent's positive-value goods in the greedy's order, which
+        # ``matching.add_agent`` scans best first.  The first `k` are the
+        # best goods the agent can get alone, whose sum is the canonical
+        # singleton worth used by every solver, so the float is computed
+        # once here.
+        self.ranked_interest: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sorted(pos, key=self.good_rank.__getitem__))
+            for pos in self.positive_interest
+        )
         solo = np.zeros(len(self.agents), dtype=np.float64)
-        for i, pos in enumerate(self.positive_interest):
-            chosen = sorted(pos, key=self.good_rank.__getitem__)[: self.k]
-            self._solo_goods.append(tuple(chosen))
-            if chosen:
-                solo[i] = float(np.sum(self.good_values[chosen]))
+        for i, ranked in enumerate(self.ranked_interest):
+            if ranked:
+                solo[i] = float(np.sum(self.good_values[list(ranked[: self.k])]))
         self.solo_value = solo
 
         self._graph: AgentsGraph | None = None
@@ -143,7 +146,7 @@ class AllocationScenario:
 
     def solo_goods(self, i: int) -> tuple[int, ...]:
         """Goods an agent alone would take (top ``k`` by value)."""
-        return self._solo_goods[i]
+        return self.ranked_interest[i][: self.k]
 
     @property
     def graph(self) -> "AgentsGraph":

@@ -54,7 +54,7 @@ def solve(
     Components of at most ``exact_limit`` agents are enumerated exactly; the
     rest get ``shapley_bounds`` plus the ``sampler`` ("fpras" or "range"),
     each estimate clamped into its interval.  An unknown sampler, an
-    ``epsilon`` or ``delta`` that the sampler's config rejects, or
+    ``epsilon``, ``delta`` or ``seed`` that the sampler's config rejects, or
     ``threads`` below 1 raises ``ValueError`` before any work, whether or
     not a component reaches the sampler.  ``meta["wall_time"]`` covers this
     call only, not loading the scenario; ``meta["timings"]`` splits it into
@@ -63,7 +63,9 @@ def solve(
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
-    (FprasConfig if sampler == "fpras" else RangeSamplerConfig)(epsilon=epsilon, delta=delta)
+    (FprasConfig if sampler == "fpras" else RangeSamplerConfig)(
+        epsilon=epsilon, delta=delta, seed=seed
+    )
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     t0 = time.perf_counter()

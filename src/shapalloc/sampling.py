@@ -6,10 +6,11 @@ Two samplers with different guarantees:
   each agent's marginal contribution to its predecessors.  Small components
   read the marginals off a precomputed worth table; larger ones walk each
   permutation carrying an optimal allocation of the prefix, so a step costs
-  at most k augmenting searches and an agent whose neighbors all come later
-  just takes its solo goods.  Estimates from independent runs are combined
-  by a per-agent median and finally scaled so the total matches the
-  grand-coalition worth.
+  at most k augmenting searches, an agent whose neighbors all come later
+  just takes its solo goods, and the permutation's last agent is credited
+  its grand marginal with no search.  Estimates from independent runs are
+  combined by a per-agent median and finally scaled so the total matches
+  the grand-coalition worth.
 
 * ``range_sampler_shapley`` fixes, per agent, the number m_i of samples
   needed by Hoeffding's inequality given the spread r_i = opt({i}) -
@@ -21,7 +22,8 @@ Two samplers with different guarantees:
   independent draws, each one step of a shared walk.
 
 Each sampler takes its options as one config, ``cfg``.  The permutation
-sampler's loop mode and the range sampler walk in one job, ``_walk_job``.
+sampler's loop mode and the range sampler walk in one job, ``_walk_job``,
+which runs each step inline.
 Randomness is confined to per-job streams keyed by (master seed, sampler,
 key, batch), and job partials merge in job order, so reports are identical
 for any worker count.
@@ -30,9 +32,9 @@ for any worker count.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -45,6 +47,12 @@ from .report import AgentResult, ShapleyReport
 BATCH = 512
 # the permutation sampler reads marginals off a worth table up to this size
 TABLE_LIMIT = 14
+
+
+def _check_integer(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` naming the field unless ``value`` is an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _job_rng(seed: int, *key: int) -> np.random.Generator:
@@ -103,10 +111,9 @@ class FprasConfig:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.runs < 1:
-            raise ValueError("runs must be positive")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        _check_integer("runs", self.runs, 1)
+        _check_integer("seed", self.seed, 0)
+        _check_integer("workers", self.workers, 1)
 
     def contributions_per_run(self, n: int) -> int:
         return math.ceil(n * (n - 1) / (self.delta * self.epsilon**2))
@@ -115,54 +122,33 @@ class FprasConfig:
         return max(1, math.ceil(self.contributions_per_run(n) / n))
 
 
-def permutation_walk(
-    scenario: AllocationScenario,
-    perm: list[int],
-    holder: dict[int, int],
-    held: dict[int, list[int]],
-) -> Iterator[tuple[int, float, bool]]:
-    """Walk one permutation, carrying the prefix's optimal allocation.
-
-    ``holder`` and ``held`` start empty and are updated in place (see
-    ``matching.add_agent``), so after each step they describe an optimal
-    allocation for the prefix that ends with the agent just added.  Yields
-    ``(agent, contribution, disconnected)`` per step, where ``disconnected``
-    says no earlier agent is a neighbor.  Such an agent takes its solo goods
-    and contributes its solo value; every other step runs at most k
-    augmenting searches.
-    """
-    neigh = scenario.graph.neighbor_masks
-    solo_value = scenario.solo_value
-    solo_goods = scenario.solo_goods
-    prefix = 0
-    for j in perm:
-        alone = neigh[j] & prefix == 0
-        if alone:
-            contrib = float(solo_value[j])
-            held[j] = list(solo_goods(j))
-            for g in solo_goods(j):
-                holder[g] = j
-        else:
-            contrib = matching.add_agent(scenario, holder, held, j)
-        prefix |= 1 << j
-        yield j, contrib, alone
-
-
 def _walk_job(payload, job):
     """Per-agent sums of contributions over one batch of permutation walks.
 
     The payload names the stream, 0 for the permutation sampler and 1 for
-    the range sampler, and each agent's cap; the job draws from
-    ``(seed, stream, key, batch)``.  Walk t of a key is ``batch * BATCH +
-    s``, agent j's contribution counts iff t < caps[j], and the walk stops
-    once the last agent still owed one is placed.  The permutation sampler
-    caps every agent at its walks per run, so all of each walk counts.
-    Returns the key, the sums, the shortcut hits and the steps walked.
+    the range sampler, each agent's cap and each agent's grand marginal
+    v(N) - v(N - j); the job draws from ``(seed, stream, key, batch)``.
+    Walk t of a key is ``batch * BATCH + s``, agent j's contribution counts
+    iff t < caps[j], and the walk stops once the last agent still owed one
+    is placed.  The permutation sampler caps every agent at its walks per
+    run, so all of each walk counts.
+
+    A walk carries an optimal allocation of the prefix.  An agent none of
+    whose neighbors precede it takes its solo goods and contributes its
+    solo value (a shortcut hit); the permutation's last agent, its prefix
+    being N - j, is credited its grand marginal with no search; every other
+    step adds the agent by ``matching.add_agent``, at most k augmenting
+    searches.  Returns the key, the sums, the shortcut hits and the steps
+    walked.
     """
-    scenario, seed, stream, caps = payload
+    scenario, seed, stream, caps, grand = payload
     key, batch_idx, count = job
     rng = _job_rng(seed, stream, key, batch_idx)
     n = scenario.n
+    neigh = scenario.graph.neighbor_masks
+    solo_value = scenario.solo_value.tolist()
+    solo_goods = scenario.solo_goods
+    add_agent = matching.add_agent
     sums = [0.0] * n
     hits = 0
     steps = 0
@@ -172,8 +158,23 @@ def _walk_job(payload, job):
         stop = n
         while caps[perm[stop - 1]] <= t:
             stop -= 1
-        for j, contrib, alone in permutation_walk(scenario, perm[:stop], {}, {}):
-            hits += alone
+        last = perm[-1] if stop == n else -1
+        holder: dict[int, int] = {}
+        held: dict[int, list[int]] = {}
+        prefix = 0
+        for j in perm[:stop]:
+            if neigh[j] & prefix == 0:
+                hits += 1
+                contrib = solo_value[j]
+                goods = solo_goods(j)
+                held[j] = list(goods)
+                for g in goods:
+                    holder[g] = j
+            elif j == last:
+                contrib = grand[j]
+            else:
+                contrib = add_agent(scenario, holder, held, j)
+            prefix |= 1 << j
             if caps[j] > t:
                 sums[j] += contrib
         steps += stop
@@ -196,6 +197,15 @@ def _fpras_table_job(payload, job):
     return run, sums, int(disconnected.sum()), count * n
 
 
+def _run_median(estimates: np.ndarray) -> np.ndarray:
+    """Per-agent median over the runs (rows), as ``np.median(estimates,
+    axis=0)`` computes it, without the ``numpy.ma`` import that
+    ``np.median`` makes on first use."""
+    ordered = np.sort(estimates, axis=0)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def fpras_shapley(
     scenario: AllocationScenario,
     cache: CharacteristicCache | None = None,
@@ -206,10 +216,12 @@ def fpras_shapley(
 
     Intended for a single connected (post-preprocessing) component.  For
     small components the full worth table is precomputed and the walk is
-    vectorized; larger components walk each permutation with
-    ``permutation_walk``, which keeps an optimal allocation of the prefix
-    and adds each agent to it by at most k augmentations.  That walk runs no
-    matching, so its ``meta`` reports ``matchings`` 0.  The table comes from
+    vectorized; larger components walk each permutation in ``_walk_job``,
+    which keeps an optimal allocation of the prefix and adds each agent to
+    it by at most k augmentations, but for the last agent, credited its
+    grand marginal.  The grand marginals come from one
+    ``matching.removal_marginals`` greedy, the loop mode's only matching,
+    so its ``meta`` reports ``matchings`` 1.  The table comes from
     ``exact.worths``, one matching per distinct component.  ``cache`` is
     inert: nothing is looked up in it or stored in it, and it stays so that
     callers passing it positionally keep working.
@@ -239,14 +251,17 @@ def fpras_shapley(
         )
         sums, shortcut_hits, _, _ = _run_batched(_fpras_table_job, budgets, payload, 1)
     else:
+        margs, work = _pool.counted(matching.removal_marginals, scenario, scenario.full_mask)
         caps = [perms_per_run] * n
-        sums, shortcut_hits, _, work = _run_batched(
-            _walk_job, budgets, (scenario, cfg.seed, 0, caps), cfg.workers
+        grand_margs = [margs[i] for i in range(n)]
+        sums, shortcut_hits, _, walk_work = _run_batched(
+            _walk_job, budgets, (scenario, cfg.seed, 0, caps, grand_margs), cfg.workers
         )
+        for field in ("matchings", "searches"):
+            work[field] += walk_work[field]
     run_sums = np.vstack([sums[run] for run in range(cfg.runs)])
 
-    estimates = run_sums / perms_per_run
-    medians = np.median(estimates, axis=0)
+    medians = _run_median(run_sums / perms_per_run)
     grand = char_value(scenario, scenario.full_mask)
     total = float(medians.sum())
     scale = grand / total if total != 0.0 else 1.0
@@ -351,8 +366,8 @@ class RangeSamplerConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.mode not in ("abs", "rel"):
             raise ValueError(f"mode must be 'abs' or 'rel', got {self.mode!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        _check_integer("seed", self.seed, 0)
+        _check_integer("workers", self.workers, 1)
 
 
 def range_sampler_shapley(
@@ -369,12 +384,14 @@ def range_sampler_shapley(
     expected marginal is exactly the Shapley value.  Agents with zero range
     need no samples at all: every marginal equals opt({i}).
 
-    ``max(m_i)`` permutations are walked with ``permutation_walk``, each
-    carrying the prefix's optimum, so a draw costs one solo shortcut or one
-    ``add_agent``.  Walk t counts agent j's contribution iff t < m_j and
-    stops once the last agent still owed one is placed.  Draws of
-    different agents share walks and so are dependent; neither Hoeffding's
-    bound per agent nor the union bound over agents needs them independent.
+    ``max(m_i)`` permutations are walked by ``_walk_job``, each carrying
+    the prefix's optimum, so a draw costs one solo shortcut or one
+    ``add_agent``, or for the permutation's last agent nothing: it reads
+    its range's ``grand_marginal``.  Walk t counts agent j's contribution
+    iff t < m_j and stops once the last agent still owed one is placed.
+    Draws of different agents share walks and so are dependent; neither
+    Hoeffding's bound per agent nor the union bound over agents needs them
+    independent.
     ``meta["walks"]`` counts the walks and ``meta["walk_steps"]`` the
     contributions computed, counted or not.
 
@@ -415,9 +432,10 @@ def range_sampler_shapley(
     }
 
     caps = [needed[a] for a in scenario.agents]
+    grand_margs = [ranges[a].grand_marginal for a in scenario.agents]
     walks = max(caps)
     sums, _, walk_steps, work = _run_batched(
-        _walk_job, [(0, walks)], (scenario, cfg.seed, 1, caps), cfg.workers
+        _walk_job, [(0, walks)], (scenario, cfg.seed, 1, caps, grand_margs), cfg.workers
     )
     for field in ("matchings", "searches"):
         work[field] += base[field]

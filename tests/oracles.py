@@ -4,6 +4,11 @@ Everything here is deliberately naive: allocations are found by exhaustive
 search over agent choices (no matching solver), Shapley values by iterating
 all permutations, and profile masses by enumerating every coalition.  Keep
 these free of shapalloc solver calls so the checks stay two-sided.
+
+Two pieces are not naive but frozen: ``reference_add_agent`` is the
+unbounded augmenting search that ``matching.add_agent`` replaced, kept as
+it was, and ``permutation_walk`` is the per-step walk the samplers used
+before their walk was inlined.  They read only scenario attributes.
 """
 
 from __future__ import annotations
@@ -164,3 +169,101 @@ def prefix_law_expectation(n: int, i: int, marginal_of_mask) -> float:
             count += 1
         total += Fraction(1, n) * Fraction(acc / count if count else 0.0)
     return float(total)
+
+
+def reference_add_agent(
+    scenario: "AllocationScenario",
+    holder: dict[int, int],
+    held: dict[int, list[int]],
+    i: int,
+) -> float:
+    """Add agent ``i`` to an optimal allocation in place; return the gain.
+
+    ``holder`` maps each held good to its holder and ``held`` each member to
+    its goods.  On entry they describe an optimal allocation for a coalition
+    without ``i``; on return, one for the coalition with ``i``.
+
+    Agent ``i`` is added one capacity unit at a time.  Adding a unit changes
+    the optimal allocation by a single alternating path from ``i``, whose
+    net gain is the value of the free good at its far end (displaced holders
+    keep their goods' values in the system), so each augmentation reduces to
+    a reachability search over displacement moves and the best gain is the
+    most valuable reachable free good.  Gains are non-increasing, so the
+    greedy sum over at most k units is exact (Edmonds 1971).
+    """
+    positive, values = scenario.positive_interest, scenario.good_value_list
+    own = positive[i]
+    mine = held[i] = []
+    total = 0.0
+    if not own:
+        return total
+    # No unit gains more than the best good ``i`` wants (else the displaced
+    # holders could have shifted without ``i``) or than the unit before it,
+    # so a search may stop at the first free good worth ``ceiling``: it is
+    # the first maximum in breadth-first order either way.
+    ceiling = values[scenario.solo_goods(i)[0]]
+    for _ in range(min(scenario.k, len(own))):
+        best_good = -1
+        best_val = 0.0
+        # breadth-first over displacement moves; every good queued is a key
+        # of ``parent``, so each is visited once
+        parent = {g: -1 for g in own if g not in mine}
+        queue = list(parent)
+        for g in queue:
+            h = holder.get(g)
+            if h is None:
+                if values[g] > best_val:
+                    best_val = values[g]
+                    best_good = g
+                    if best_val >= ceiling:
+                        break
+                continue
+            theirs = held[h]
+            for g2 in positive[h]:
+                if g2 not in parent and g2 not in theirs:
+                    parent[g2] = g
+                    queue.append(g2)
+        if best_good < 0:
+            break
+        total += best_val
+        ceiling = best_val
+        # apply the chain: walk back to a good wanted by i, shifting holders
+        g = best_good
+        prev = parent[g]
+        while prev != -1:
+            h = holder[prev]
+            theirs = held[h]
+            theirs.remove(prev)
+            theirs.append(g)
+            holder[g] = h
+            g = prev
+            prev = parent[g]
+        holder[g] = i
+        mine.append(g)
+    return total
+
+
+def permutation_walk(scenario, perm, holder, held, add=reference_add_agent):
+    """Walk one permutation, carrying the prefix's optimal allocation.
+
+    ``holder`` and ``held`` start empty and are updated in place by ``add``
+    (``reference_add_agent`` unless another kernel is passed), so after each
+    step they describe an optimal allocation for the prefix that ends with
+    the agent just added.  Yields ``(agent, contribution, disconnected)``
+    per step, where ``disconnected`` says no earlier agent is a neighbor.
+    Such an agent takes its solo goods and contributes its solo value; every
+    other step, the last included, calls ``add``.
+    """
+    neigh = scenario.graph.neighbor_masks
+    prefix = 0
+    for j in perm:
+        alone = neigh[j] & prefix == 0
+        if alone:
+            contrib = float(scenario.solo_value[j])
+            held[j] = list(scenario.solo_goods(j))
+            for g in scenario.solo_goods(j):
+                holder[g] = j
+        else:
+            contrib = add(scenario, holder, held, j)
+        prefix |= 1 << j
+        yield j, contrib, alone

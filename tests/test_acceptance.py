@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 import shapalloc as sa
-from shapalloc.sampling import hoeffding_sample_count, permutation_walk
+from shapalloc import matching, sampling
+from shapalloc.sampling import hoeffding_sample_count
 
 from conftest import three_agent_game
+from oracles import permutation_walk
 
 REL = 1e-9
 
@@ -190,7 +192,8 @@ def test_criterion_5_fpras_statistical_guarantee():
 def test_criterion_6_shortcut_identity_and_savings_band():
     # value identity: every step whose agent has no earlier neighbor is
     # credited exactly the worth difference, on a ring (table mode) and on a
-    # 60-agent component (loop mode)
+    # 60-agent component (loop mode); the sampler's walk job gives the
+    # reference walk's sums bit for bit
     ring = ring_game(12)
     ring_cfg = sa.FprasConfig(epsilon=0.4, delta=0.1, seed=6)
     assert sa.fpras_shapley(ring, cfg=ring_cfg).meta["mode"] == "table"
@@ -201,21 +204,27 @@ def test_criterion_6_shortcut_identity_and_savings_band():
     cfg = sa.FprasConfig(epsilon=0.5, delta=0.5, seed=6, runs=1)
     assert sa.fpras_shapley(comp, cfg=cfg).meta["mode"] == "loop"
 
-    rng = np.random.default_rng(6)
     alone_steps = []
     for scn in (ring, comp):
+        margs = matching.removal_marginals(scn, scn.full_mask)
+        payload = (scn, 6, 0, [20] * scn.n, [margs[i] for i in range(scn.n)])
+        _, job_sums, job_hits, _ = sampling._walk_job(payload, (0, 0, 20))
+        job_rng = sampling._job_rng(6, 0, 0, 0)
+        sums = [0.0] * scn.n
         steps = 0
         for _ in range(20):
             prefix = 0
-            perm = rng.permutation(scn.n).tolist()
+            perm = job_rng.permutation(scn.n).tolist()
             for j, contrib, alone in permutation_walk(scn, perm, {}, {}):
                 if alone:
                     want = (sa.char_value(scn, prefix | 1 << j)
                             - sa.char_value(scn, prefix))
                     assert contrib == pytest.approx(want, rel=1e-12, abs=1e-12)
                     steps += 1
+                sums[j] += contrib
                 prefix |= 1 << j
-        assert steps > 0
+        assert steps > 0 and job_hits == steps
+        assert [x.hex() for x in job_sums] == [x.hex() for x in sums]
         alone_steps.append(steps)
 
     # savings band on market-shaped sparse components

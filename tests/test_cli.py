@@ -169,6 +169,16 @@ def test_range_sample_non_finite_epsilon_fails_cleanly(ref_file, capsys, epsilon
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ("solve",), ("fpras", "--epsilon", "0.3", "--delta", "0.1"),
+    ("range-sample", "--epsilon", "0.3", "--delta", "0.1"),
+])
+def test_negative_seed_fails_cleanly(ref_file, capsys, command):
+    # solve sends the reference game to the exact solver, and still checks
+    assert run_cli(*command, "--scenario", ref_file, "--seed", "-1", "--threads", "1") == 2
+    assert capsys.readouterr().err.startswith("error: seed must be")
+
+
 @pytest.mark.parametrize("flag, value", [("--epsilon", "-1"), ("--delta", "5")])
 def test_solve_bad_epsilon_or_delta_fails_cleanly(ref_file, capsys, flag, value):
     # the reference game goes to the exact solver, so no sampler would see it
@@ -366,6 +376,22 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_loop_mode_fpras_loads_no_numpy_ma():
+    # np.median imports numpy.ma on first use, 10-20 ms in a fresh process
+    code = (
+        "import sys, shapalloc as sa\n"
+        "scn = sa.generate(agents=16, coauthor_prob=0.5, k=2, seed=3)\n"
+        "cfg = sa.FprasConfig(epsilon=0.9, delta=0.9, runs=2)\n"
+        "print(sa.fpras_shapley(scn, cfg=cfg).meta['mode'], 'numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "loop False"
 
 
 def test_only_the_cli_prints():

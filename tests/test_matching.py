@@ -5,7 +5,7 @@ import shapalloc as sa
 from shapalloc import matching
 
 from conftest import random_scenario
-from oracles import brute_force_opt, greedy_disjoint_value
+from oracles import brute_force_opt, greedy_disjoint_value, reference_add_agent
 
 
 def test_single_agent_takes_both_goods():
@@ -233,3 +233,43 @@ def test_removal_marginals_match_restricted():
         assert sorted(got) == list(sa.iter_bits(m))
         for i, marg in got.items():
             assert marg == sa.marginal_restricted(scn, i, m & ~(1 << i)), (m, i)
+
+
+# quarter grades (with worthless goods), a single value, and near-ties
+SEARCH_VALUE_SETS = (
+    (0.0, 0.25, 0.5, 0.75, 1.0),
+    (1.0,),
+    (0.3, 0.3000000000000001, 0.7),
+    (0.1, 0.3, 0.30000000000000004, 0.6),
+)
+
+
+def test_add_agent_matches_the_unbounded_search():
+    # the bounded search may apply another optimal augmentation than the
+    # unbounded one, so each walk carries its own allocation; the gains are
+    # the optimum's unit increments and must agree bit for bit
+    rng = np.random.default_rng(11)
+    steps = 0
+    for inst in range(600):
+        n, k = 4 + inst % 7, 1 + inst % 3
+        scn = sa.generate(agents=n, goods_per_agent=1.6, coauthor_prob=0.6, max_claimers=3,
+                          value_set=SEARCH_VALUE_SETS[inst % 4], k=k, seed=1000 + inst)
+        for _ in range(2):
+            holder, held, ref_holder, ref_held = {}, {}, {}, {}
+            prefix = 0
+            for j in rng.permutation(n).tolist():
+                gain = matching.add_agent(scn, holder, held, j)
+                want = reference_add_agent(scn, ref_holder, ref_held, j)
+                assert gain.hex() == want.hex(), (inst, prefix, j)
+                prefix |= 1 << j
+                assert holder == {g: a for a, goods in held.items() for g in goods}
+                alloc = matching.Allocation({
+                    scn.agents[a]: frozenset(scn.good_ids[g] for g in goods)
+                    for a, goods in held.items()
+                })
+                alloc.validate(scn, prefix)
+                assert alloc.value(scn) == pytest.approx(
+                    matching.optimal_value_only(scn, prefix), rel=1e-12, abs=1e-12)
+                steps += 1
+    assert steps == 2 * sum(4 + inst % 7 for inst in range(600))
+

@@ -43,6 +43,17 @@ def test_solve_checks_epsilon_and_delta_before_any_work(monkeypatch, sampler, ep
         sa.solve(separable, sampler=sampler, epsilon=epsilon, delta=delta, threads=1)
 
 
+@pytest.mark.parametrize("sampler", ["fpras", "range"])
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_solve_checks_the_seed_before_any_work(monkeypatch, sampler, seed):
+    def no_work(scenario):
+        raise AssertionError("preprocessing ran before the seed was checked")
+
+    monkeypatch.setattr("shapalloc.pipeline.run_pipeline", no_work)
+    with pytest.raises(ValueError, match="seed"):
+        sa.solve(three_agent_game(), sampler=sampler, seed=seed, threads=1)
+
+
 @pytest.mark.parametrize("threads", [0, -4])
 def test_solve_checks_threads_before_any_work(monkeypatch, threads):
     def no_work(scenario):

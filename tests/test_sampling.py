@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import shapalloc as sa
-from shapalloc import exact, sampling
+from shapalloc import exact, matching, sampling
 from shapalloc.matching import Allocation
-from shapalloc.sampling import permutation_walk
 
 from conftest import exact_values, random_scenario
-from oracles import brute_force_opt, prefix_law_expectation
+from oracles import brute_force_opt, permutation_walk, prefix_law_expectation
 
 
 class TestComputeRanges:
@@ -140,6 +139,13 @@ class TestRangeSampler:
             with pytest.raises(ValueError, match="finite"):
                 sa.RangeSamplerConfig(epsilon=epsilon, delta=0.1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("workers", 1.5), ("workers", 0),
+    ])
+    def test_seed_and_workers_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            sa.RangeSamplerConfig(epsilon=0.1, delta=0.1, **{field: value})
+
 
 class TestFpras:
     def test_single_agent_component_is_exact(self):
@@ -154,6 +160,24 @@ class TestFpras:
             sa.FprasConfig(epsilon=0.3, delta=1.0)
         with pytest.raises(ValueError):
             sa.FprasConfig(epsilon=0.3, delta=0.1, runs=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 2.0), ("runs", 2.5), ("runs", 0), ("workers", 1.5),
+    ])
+    def test_seed_runs_and_workers_must_be_integers(self, field, value):
+        # checked at the boundary, not by numpy or the job loop mid-run
+        with pytest.raises(ValueError, match=field):
+            sa.FprasConfig(epsilon=0.3, delta=0.1, **{field: value})
+
+    def test_median_of_runs_equals_numpy_median(self):
+        rng = np.random.default_rng(12)
+        for runs in range(1, 7):
+            for _ in range(20):
+                # ties and repeated rows too
+                estimates = rng.choice([0.1, 0.3, 1 / 3, 0.7, rng.random()], size=(runs, 9))
+                got = sampling._run_median(estimates)
+                want = np.median(estimates, axis=0)
+                assert [x.hex() for x in got] == [x.hex() for x in want], runs
 
     def test_contribution_budget_formula(self):
         cfg = sa.FprasConfig(epsilon=0.3, delta=0.01)
@@ -178,7 +202,8 @@ class TestFpras:
             neigh = np.asarray(scn.graph.neighbor_masks, dtype=np.int64)
             table_payload = (vtab, neigh, scn.solo_value, n, seed)
             # every agent is owed every walk of these jobs
-            walk_payload = (scn, seed, 0, [2 * sampling.BATCH] * n)
+            margs = matching.removal_marginals(scn, scn.full_mask)
+            walk_payload = (scn, seed, 0, [2 * sampling.BATCH] * n, [margs[i] for i in range(n)])
             for job in jobs:
                 t_run, t_sums, t_hits, _ = sampling._fpras_table_job(table_payload, job)
                 l_run, l_sums, l_hits, _ = sampling._walk_job(walk_payload, job)
@@ -195,7 +220,8 @@ class TestFpras:
             c for m in range(1 << scn.n) for c in sa.connected_components(m, neigh) if c & (c - 1)
         }
         cfg = sa.FprasConfig(epsilon=0.4, delta=0.3, seed=4)
-        for limit, mode, matchings in ((sampling.TABLE_LIMIT, "table", len(comps)), (4, "loop", 0)):
+        # the loop walk's one greedy gives the grand marginals
+        for limit, mode, matchings in ((sampling.TABLE_LIMIT, "table", len(comps)), (4, "loop", 1)):
             monkeypatch.setattr("shapalloc.sampling.TABLE_LIMIT", limit)
             cache = sa.CharacteristicCache()
             meta = sa.fpras_shapley(scn, cache, cfg=cfg).meta
@@ -253,7 +279,8 @@ def test_permutation_walk_carries_the_prefix_optimum():
             perm = rng.permutation(n).tolist()
             holder, held = {}, {}
             prefix = 0
-            for j, contrib, alone in permutation_walk(scn, perm, holder, held):
+            walk = permutation_walk(scn, perm, holder, held, add=matching.add_agent)
+            for j, contrib, alone in walk:
                 want = sa.char_value(scn, prefix | 1 << j) - sa.char_value(scn, prefix)
                 assert contrib == pytest.approx(want, rel=1e-12, abs=1e-12), (seed, prefix, j)
                 assert alone == (scn.graph.neighbor_masks[j] & prefix == 0)
@@ -268,19 +295,15 @@ def test_permutation_walk_carries_the_prefix_optimum():
                 assert alloc.value(scn) == pytest.approx(optimum[prefix], rel=1e-12, abs=1e-12)
 
 
+def _job_walks(seed, stream, key, walks, n):
+    """``(t, permutation)`` for each of a key's walks, as the jobs draw them."""
+    for b, start in enumerate(range(0, walks, sampling.BATCH)):
+        job_rng = sampling._job_rng(seed, stream, key, b)
+        for t in range(start, min(start + sampling.BATCH, walks)):
+            yield t, job_rng.permutation(n).tolist()
+
+
 def test_range_walks_match_restricted_marginals(monkeypatch):
-    # several jobs per run of walks, so walk t = batch * BATCH + s is exercised
-    monkeypatch.setattr("shapalloc.sampling.BATCH", 7)
-    walked = []
-
-    def recording_walk(scenario, perm, holder, held):
-        steps = []
-        walked.append(steps)
-        for step in permutation_walk(scenario, perm, holder, held):
-            steps.append(step)
-            yield step
-
-    monkeypatch.setattr("shapalloc.sampling.permutation_walk", recording_walk)
     rng = np.random.default_rng(5)
     for inst in range(24):
         n, k, seed = 6 + inst % 5, 1 + inst % 3, 30 + inst
@@ -290,40 +313,88 @@ def test_range_walks_match_restricted_marginals(monkeypatch):
         caps = [int(c) for c in rng.integers(0, 30, size=n)]
         caps[inst % n] = 0
         walks = max(caps)
-        walked.clear()
-        sums, _, walk_steps, _ = sampling._run_batched(
-            sampling._walk_job, [(0, walks)], (scn, seed, 1, caps), 1
-        )
-        perms = []
-        for b, start in enumerate(range(0, walks, sampling.BATCH)):
-            job_rng = sampling._job_rng(seed, 1, 0, b)
-            perms += [job_rng.permutation(n).tolist()
-                      for _ in range(min(sampling.BATCH, walks - start))]
-        assert len(walked) == len(perms) == walks
-        want = [0.0] * n
+        margs = matching.removal_marginals(scn, scn.full_mask)
+        payload = (scn, seed, 1, caps, [margs[i] for i in range(n)])
+
+        # one walk per job: each job's sums are the walk's counted
+        # contributions, and its steps end at the last agent still owed one
+        monkeypatch.setattr("shapalloc.sampling.BATCH", 1)
         counted = [0] * n
-        for t, (perm, steps_t) in enumerate(zip(perms, walked)):
+        for t, perm in _job_walks(seed, 1, 0, walks, n):
+            _, sums, _, steps = sampling._walk_job(payload, (0, t, 1))
             owed = [pos for pos, j in enumerate(perm) if caps[j] > t]
-            # the walk follows the job's permutation and ends at the last
-            # agent still owed a contribution
-            assert [j for j, _, _ in steps_t] == perm[:owed[-1] + 1], (inst, t)
+            assert steps == owed[-1] + 1, (inst, t)
             prefix = 0
-            for j, contrib, _ in steps_t:
+            for j in perm:
                 if caps[j] > t:
                     restricted = sa.marginal_restricted(scn, j, prefix)
-                    assert contrib.hex() == restricted.hex(), (inst, t, j)
-                    want[j] += contrib
+                    assert sums[j].hex() == restricted.hex(), (inst, t, j)
                     counted[j] += 1
+                else:
+                    assert sums[j] == 0.0
                 prefix |= 1 << j
         assert counted == caps
-        assert walk_steps == sum(len(steps_t) for steps_t in walked)
+
+        # several jobs per run of walks, so walk t = batch * BATCH + s is
+        # exercised, and the sums add up in walk order
+        monkeypatch.setattr("shapalloc.sampling.BATCH", 7)
+        sums, _, walk_steps, _ = sampling._run_batched(
+            sampling._walk_job, [(0, walks)], payload, 1
+        )
+        want = [0.0] * n
+        steps = 0
+        for t, perm in _job_walks(seed, 1, 0, walks, n):
+            steps += max(pos for pos, j in enumerate(perm) if caps[j] > t) + 1
+            prefix = 0
+            for j in perm:
+                if caps[j] > t:
+                    want[j] += sa.marginal_restricted(scn, j, prefix)
+                prefix |= 1 << j
+        assert walk_steps == steps
         assert [x.hex() for x in sums[0]] == [x.hex() for x in want]
 
-    walked.clear()
     rep = sa.range_sampler_shapley(scn, cfg=sa.RangeSamplerConfig(epsilon=0.2, delta=0.1, seed=3))
-    assert rep.meta["walks"] == max(r.samples for r in rep.agents) == len(walked)
-    assert rep.meta["walk_steps"] == sum(len(steps_t) for steps_t in walked)
+    caps = [r.samples for r in rep.agents]
+    assert rep.meta["walks"] == max(caps)
+    steps = sum(max(pos for pos, j in enumerate(perm) if caps[j] > t) + 1
+                for t, perm in _job_walks(3, 1, 0, max(caps), scn.n))
+    assert rep.meta["walk_steps"] == steps
     assert rep.meta["total_samples"] <= rep.meta["walk_steps"]
+
+
+def test_walk_credits_the_last_agent_its_grand_marginal():
+    # only the permutation's last agent is owed a contribution, so the walk
+    # runs to the end and the sums hold that one contribution
+    last_kinds = set()
+    for inst in range(40):
+        n = 5 + inst % 6
+        scn = sa.generate(agents=n, goods_per_agent=1.4, coauthor_prob=0.4,
+                          value_set=(0.1, 0.4, 0.7, 1.0), k=1 + inst % 3, seed=960 + inst)
+        neigh = scn.graph.neighbor_masks
+        margs = matching.removal_marginals(scn, scn.full_mask)
+        perm = sampling._job_rng(inst, 0, 0, 0).permutation(n).tolist()
+        last = perm[-1]
+        caps = [0] * n
+        caps[last] = 1
+        payload = (scn, inst, 0, caps, [margs[i] for i in range(n)])
+        s0 = matching.search_calls()
+        _, sums, hits, steps = sampling._walk_job(payload, (0, 0, 1))
+        searches = matching.search_calls() - s0
+        connected = []
+        prefix = 0
+        for j in perm:
+            connected.append(neigh[j] & prefix != 0)
+            prefix |= 1 << j
+        assert steps == n
+        want = sa.marginal_restricted(scn, last, scn.full_mask & ~(1 << last))
+        assert sums[last].hex() == margs[last].hex() == want.hex(), inst
+        assert all(sums[j] == 0.0 for j in perm[:-1])
+        # one add_agent per connected step but the last, a hit per other step
+        assert searches == sum(connected[:-1])
+        assert hits == n - sum(connected)
+        last_kinds.add(connected[-1])
+    # some last agents have a neighbor and some have none
+    assert last_kinds == {False, True}
 
 
 def test_loop_walks_rebuild_the_permutation_sampler(monkeypatch):
