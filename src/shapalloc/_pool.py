@@ -10,19 +10,18 @@ result, only how many matchings run.
 
 Each job is wrapped by ``counted``, which takes the deltas of
 ``matching.solve_calls()`` (greedy matchings) and of
-``matching.search_calls()`` (add and remove searches), and the runner
+``matching.search_calls()`` (augmenting searches), and the runner
 returns their sums next to the results.  A solver's single in-process step
 calls ``counted`` directly.  Partial results come back strictly in job
 order, so the final numbers are identical whatever the worker count or
 scheduling -- the single-worker run is the reference and the parallel runs
-reproduce it bit for bit.
+reproduce it bit for bit.  ``multiprocessing`` and ``concurrent.futures``
+are imported only when a pool starts.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence
 
 from . import matching
@@ -72,6 +71,10 @@ def run_jobs(
     if workers <= 1 or len(jobs) <= 1:
         done = [counted(fn, payload, job) for job in jobs]
     else:
+        # imported here: a run in process should not pay for loading them
+        import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX fallback

@@ -8,14 +8,16 @@ or with only P' present (upper bound) -- and weighted by the total Shapley
 mass y of the class.
 
 One greedy gives an optimal allocation of the whole game, and every job
-starts from a copy of it.  Removing i from the copy gives marg(i, N), and
-removing i's neighbors too leaves an optimum of the non-neighbors.  The
-sweep then visits the subsets of neigh(i) in Gray order carrying two
-optimal allocations, one of rest | P' and one of P' (from the empty
-allocation): each step adds or removes the flipped neighbor in both, and
-each marginal is read by adding i and removing it again
-(``matching.add_agent`` and ``matching.remove_agent``), at most 2k
-searches per side.  The marginals are the optimum's unique per-unit
+starts from a copy of it (``matching.copy_allocation``; the allocation's
+layout belongs to ``matching``).  Removing i from the copy gives marg(i,
+N), and removing i's neighbors too leaves an optimum of the non-neighbors.
+The sweep then visits the subsets of neigh(i) in Gray order carrying two
+optimal allocations, one of rest | P' and one of P' (from
+``matching.empty_allocation``): each step adds or removes the flipped
+neighbor in both, and each marginal is read by adding i and removing it
+again (``matching.add_agent`` and ``matching.remove_agent``), at most 2k
+searches per side; an agent that finds its solo goods free takes them
+with no search.  The marginals are the optimum's unique per-unit
 increments, so they do not depend on which optimum is carried: they equal
 ``marginal_restricted`` bit for bit, whatever the worker count.  The sweep
 is reserved for agents with at most ``max_neigh`` neighbors; the rest fall
@@ -29,7 +31,7 @@ import time
 from math import factorial
 
 from . import _pool
-from .matching import add_agent, greedy, remove_agent
+from .matching import add_agent, copy_allocation, empty_allocation, greedy, remove_agent
 from .model import AllocationScenario, CharacteristicCache, iter_bits
 from .report import AgentResult, ShapleyReport
 
@@ -68,7 +70,7 @@ def gray_subsets(items: list[int]):
 
 
 def _bounds_job(payload, job):
-    scenario, max_neigh, (holder, held) = payload
+    scenario, max_neigh, grand = payload
     i = job
     neigh_mask = scenario.graph.neighbor_masks[i]
     deg = neigh_mask.bit_count()
@@ -76,7 +78,7 @@ def _bounds_job(payload, job):
 
     # the grand optimum, copied: removing i gives marg(i, N), and removing
     # the neighbors too gives an optimum of the non-neighbors
-    low = holder.copy(), {a: goods.copy() for a, goods in held.items()}
+    low = copy_allocation(*grand)
     grand_marginal = remove_agent(scenario, *low, i)
     if deg > max_neigh:
         return i, grand_marginal, solo, True
@@ -86,10 +88,10 @@ def _bounds_job(payload, job):
     neighbors = list(iter_bits(neigh_mask))
     y_by_size = [profile_weight(l, p, deg - p, n) for p in range(deg + 1)]
 
-    # optimal allocations of rest | P and of P, as (holder, held)
+    # optimal allocations of rest | P and of P
     for j in neighbors:
         remove_agent(scenario, *low, j)
-    high: tuple[dict, dict] = ({}, {})
+    high = empty_allocation(scenario)
     lb = ub = 0.0
     prev = 0
     for p_mask in gray_subsets(neighbors):

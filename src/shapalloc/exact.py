@@ -18,7 +18,6 @@ values do not.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from math import factorial
 
 import numpy as np
@@ -39,11 +38,12 @@ def shapley_weight(csize: int, n: int) -> float:
     """Probability that a fixed agent joins right after a given |C|-coalition.
 
     Equals |C|! (n-|C|-1)! / n!.  Evaluated in exact integer arithmetic and
-    rounded once, so it is stable for any n this package can enumerate.
+    rounded once by the division, so it is stable for any n this package can
+    enumerate.
     """
     if not 0 <= csize <= n - 1:
         raise ValueError(f"coalition size {csize} out of range for n={n}")
-    return float(Fraction(factorial(csize) * factorial(n - csize - 1), factorial(n)))
+    return factorial(csize) * factorial(n - csize - 1) / factorial(n)
 
 
 def _weight_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,20 +16,29 @@ the sum of its kept goods in ascending good index, so it is a deterministic
 function of the scenario and the coalition.  Every solver in the package
 funnels through this kernel.
 
-``add_agent`` extends an optimal allocation by one agent with at most ``k``
-augmenting searches, and ``remove_agent`` is its mirror: it takes one member
-out with at most ``k`` searches.  Both return the member's marginal
-contribution, and both leave an optimal allocation behind, so one optimum
+An allocation is carried as two flat lists, and only this module reads or
+writes them: ``holder`` has one slot per good, the agent holding it or -1
+when it is free, and ``held`` one slot per agent, the list of its goods or
+``None`` when the agent is not in the coalition.  ``empty_allocation`` and
+``copy_allocation`` make them; ``greedy`` returns one for a coalition.
+
+``add_agents`` extends an optimal allocation by a sequence of agents, each
+with at most ``k`` augmenting searches, and ``remove_agent`` is its mirror:
+it takes one member out with at most ``k`` searches.  Both return marginal
+contributions, and both leave an optimal allocation behind, so one optimum
 from the greedy can be carried through many coalitions that differ by one
-member at a time.  ``add_agent`` bounds each augmenting search by value
-(see its docstring), which moves no gain.  Both samplers' permutation walks
-carry the prefix's optimum through ``add_agent``, one call per step but the
-last, whose marginal comes from ``removal_marginals``; ``marginal_gain`` (the
-greedy plus ``add_agent``) serves one-off marginals through
-``model.marginal_restricted``; ``removal_marginals`` gives every member's
-marginal to the rest of a coalition from one greedy, for separability,
-pruning and the range sampler's ranges; the bounds sweep carries two optima
-through its subsets.
+member at a time.  An agent whose solo goods (the first ``k`` of
+``scenario.ranked_interest``) are all free takes them with no search:
+marg(i, P) <= opt({i}) by submodularity, and the free bundle reaches that
+bound.  ``add_agents`` bounds every other search by value (see its
+docstring), which moves no gain.  Both samplers' permutation walks add a
+walk's agents with one ``add_agents`` call, but for the last agent, whose
+marginal comes from ``removal_marginals``; ``add_agent`` is its one-agent
+case; ``marginal_gain`` (the greedy plus ``add_agent``) serves one-off
+marginals through ``model.marginal_restricted``; ``removal_marginals``
+gives every member's marginal to the rest of a coalition from one greedy,
+for separability, pruning and the range sampler's ranges; the bounds sweep
+carries two optima through its subsets.
 """
 
 from __future__ import annotations
@@ -44,8 +53,8 @@ from .model import Coalition, ScenarioError, mask_to_indices
 if TYPE_CHECKING:  # pragma: no cover
     from .model import AllocationScenario
 
-# greedy matchings and add/remove searches run in this process; jobs report
-# deltas so parallel runs can still aggregate a meaningful total
+# greedy matchings and searches run in this process; jobs report deltas so
+# parallel runs can still aggregate a meaningful total
 _SOLVE_CALLS = 0
 _SEARCH_CALLS = 0
 
@@ -55,27 +64,38 @@ def solve_calls() -> int:
 
 
 def search_calls() -> int:
-    """Calls of ``add_agent`` and ``remove_agent`` (one per call, not per unit)."""
+    """Calls of ``remove_agent``, and agents ``add_agents`` searched for
+    (one per agent, not per unit; an agent that takes its free solo goods
+    runs no search)."""
     return _SEARCH_CALLS
 
 
-def greedy(
-    scenario: "AllocationScenario", coalition: Coalition
-) -> tuple[dict[int, int], dict[int, list[int]]]:
-    """An optimal allocation for the coalition: each held good's holder, and
-    each member's goods."""
+def empty_allocation(scenario: "AllocationScenario") -> tuple[list[int], list[list[int] | None]]:
+    """The empty coalition's allocation: every good free, no member."""
+    return [-1] * len(scenario.good_ids), [None] * scenario.n
+
+
+def copy_allocation(
+    holder: list[int], held: list[list[int] | None]
+) -> tuple[list[int], list[list[int] | None]]:
+    """A copy of an allocation that shares no list with it."""
+    return holder.copy(), [None if goods is None else goods.copy() for goods in held]
+
+
+def _greedy(scenario: "AllocationScenario", coalition: Coalition):
+    """``greedy``'s allocation, and its kept goods in the order taken."""
     global _SOLVE_CALLS
     _SOLVE_CALLS += 1
     k = scenario.k
     claimers = scenario.good_claimers
+    holder, held = empty_allocation(scenario)
     load: dict[int, int] = {}  # goods held by each member still searched
-    held: dict[int, list[int]] = {}
     goods: set[int] = set()
     for a in mask_to_indices(coalition, scenario.n).tolist():
         load[a] = 0
         held[a] = []
         goods.update(scenario.interest[a])
-    holder: dict[int, int] = {}
+    kept = []
     for g in sorted(goods, key=scenario.good_rank.__getitem__):
         # the first interested member with room takes g; if all are full,
         # search onward from them, breadth first
@@ -116,14 +136,22 @@ def greedy(
             step = parent[b]
         held[b].append(g)
         holder[g] = b
-    return holder, held
+        kept.append(g)
+    return holder, held, kept
 
 
-def _value(scenario: "AllocationScenario", holder: dict[int, int]) -> float:
-    """Total value of the held goods, summed in ascending good index."""
-    if not holder:
+def greedy(
+    scenario: "AllocationScenario", coalition: Coalition
+) -> tuple[list[int], list[list[int] | None]]:
+    """An optimal allocation for the coalition, as ``(holder, held)``."""
+    return _greedy(scenario, coalition)[:2]
+
+
+def _value(scenario: "AllocationScenario", kept: list[int]) -> float:
+    """Total value of the kept goods, summed in ascending good index."""
+    if not kept:
         return 0.0
-    return float(np.sum(scenario.good_values[sorted(holder)]))
+    return float(np.sum(scenario.good_values[sorted(kept)]))
 
 
 def optimal_value_only(scenario: "AllocationScenario", coalition: Coalition) -> float:
@@ -137,7 +165,7 @@ def optimal_value_only(scenario: "AllocationScenario", coalition: Coalition) -> 
         return 0.0
     if coalition & (coalition - 1) == 0:
         return float(scenario.solo_value[coalition.bit_length() - 1])
-    return _value(scenario, greedy(scenario, coalition)[0])
+    return _value(scenario, _greedy(scenario, coalition)[2])
 
 
 @dataclass
@@ -171,25 +199,33 @@ class Allocation:
                 seen.add(g)
 
 
-def add_agent(
+def add_agents(
     scenario: "AllocationScenario",
-    holder: dict[int, int],
-    held: dict[int, list[int]],
-    i: int,
-) -> float:
-    """Add agent ``i`` to an optimal allocation in place; return the gain.
+    holder: list[int],
+    held: list[list[int] | None],
+    agents,
+) -> tuple[list[float], int]:
+    """Add ``agents`` one after another to an optimal allocation in place.
 
-    ``holder`` maps each held good to its holder and ``held`` each member to
-    its goods.  On entry they describe an optimal allocation for a coalition
-    without ``i``; on return, one for the coalition with ``i``.
+    On entry ``holder`` and ``held`` describe an optimal allocation for a
+    coalition holding none of the agents; after each agent, one for the
+    coalition with it.  Returns each agent's gain, in order, and how many
+    agents had no neighbor in the coalition when they joined.
 
-    Agent ``i`` is added one capacity unit at a time.  Adding a unit changes
-    the optimal allocation by a single alternating path from ``i``, whose
-    net gain is the value of the free good at its far end (displaced holders
-    keep their goods' values in the system), so each augmentation reduces to
-    a reachability search over displacement moves and the best gain is the
-    most valuable reachable free good.  Gains are non-increasing, so the
-    greedy sum over at most k units is exact (Edmonds 1971).
+    An agent whose solo goods are all free takes them with no search: no
+    marginal exceeds opt({i}), which that bundle reaches.  With no neighbor
+    in the coalition (``scenario.graph.neighbor_lists``) its gain is
+    ``solo_value[i]``; otherwise the goods' values summed best first from
+    0.0, the float the search below returns for the same goods.
+
+    Any other agent is added one capacity unit at a time.  Adding a unit
+    changes the optimal allocation by a single alternating path from ``i``,
+    whose net gain is the value of the free good at its far end (displaced
+    holders keep their goods' values in the system), so each augmentation
+    reduces to a reachability search over displacement moves and the best
+    gain is the most valuable reachable free good.  Gains are
+    non-increasing, so the greedy sum over at most k units is exact
+    (Edmonds 1971).
 
     The search is bounded by value.  Take an optimal allocation, a held good
     g and any path that frees g and ends at a free good d: the path is an
@@ -208,92 +244,143 @@ def add_agent(
     order.
     """
     global _SEARCH_CALLS
-    _SEARCH_CALLS += 1
+    k = scenario.k
     ranked, values = scenario.ranked_interest, scenario.good_value_list
-    own = ranked[i]
-    mine = held[i] = []
-    total = 0.0
-    if not own:
-        return total
-    gain = values[own[0]]
-    for _ in range(min(scenario.k, len(own))):
-        for g in own:
-            if g not in mine:
+    neighbors = scenario.graph.neighbor_lists
+    gains = []
+    hits = searched = 0
+    # per good, the good before it on the search's path (-1 for i's own),
+    # and whether this unit's search reached it (mark == stamp); made at the
+    # first search, so a call that runs none allocates nothing, and mark is
+    # a bytearray, cheap enough to make again when the stamp reaches 255
+    parent = mark = None
+    stamp = 255
+    for i in agents:
+        own = ranked[i]
+        solo = own[:k]
+        for g in solo:
+            if holder[g] >= 0:
                 break
-        ceiling = values[g]
-        if gain < ceiling:
-            ceiling = gain
-        # i's goods, best first: the first free one ends the scan and is
-        # taken with no search if it is worth the ceiling; held ones before
-        # it start the breadth-first search
-        best_good = -1
-        best_val = 0.0
-        parent: dict[int, int] = {}
-        queue = []
-        for g in own:
-            if g in mine:
-                continue
-            v = values[g]
-            if v <= best_val:
-                break
-            parent[g] = -1
-            if g in holder:
-                queue.append(g)
+        else:
+            for b in neighbors[i]:
+                if held[b] is not None:
+                    # a neighbor is a member: the search's sum, best first
+                    total = 0.0
+                    for g in solo:
+                        total += values[g]
+                    break
             else:
-                best_good = g
-                best_val = v
-        if best_val < ceiling:
-            # breadth-first over displacement moves
-            for g in queue:
-                if values[g] <= best_val:
-                    continue
-                h = holder[g]
-                theirs = held[h]
-                for g2 in ranked[h]:
-                    v = values[g2]
+                hits += 1
+                total = float(scenario.solo_value[i])
+            held[i] = list(solo)
+            for g in solo:
+                holder[g] = i
+            gains.append(total)
+            continue
+        searched += 1
+        mine = held[i] = []
+        rest = list(own)  # i's goods it does not hold yet, best first
+        total = 0.0
+        gain = values[own[0]]
+        for _ in range(k if k < len(own) else len(own)):
+            g = rest[0]
+            if holder[g] < 0:
+                # the best good i does not hold is free: no unit gains more
+                best_val = values[g]
+            else:
+                if stamp == 255:
+                    if parent is None:
+                        parent = [0] * len(holder)
+                    mark = bytearray(len(holder))
+                    stamp = 0
+                stamp += 1
+                ceiling = values[g]
+                if gain < ceiling:
+                    ceiling = gain
+                # i's goods, best first: the first free one ends the scan,
+                # held ones before it start the breadth-first search
+                best_good = -1
+                best_val = 0.0
+                queue = []
+                for g in rest:
+                    v = values[g]
                     if v <= best_val:
                         break
-                    if g2 in parent or g2 in theirs:
-                        continue
-                    parent[g2] = g
-                    if g2 in holder:
-                        queue.append(g2)
-                    else:
-                        best_good = g2
+                    parent[g] = -1
+                    mark[g] = stamp
+                    if holder[g] < 0:
+                        best_good = g
                         best_val = v
-                if best_val >= ceiling:
+                    else:
+                        queue.append(g)
+                if best_val < ceiling:
+                    # breadth-first over displacement moves: g's holder h
+                    # gives g up for a good g2 it does not hold
+                    for g in queue:
+                        if values[g] <= best_val:
+                            continue
+                        h = holder[g]
+                        for g2 in ranked[h]:
+                            v = values[g2]
+                            if v <= best_val:
+                                break
+                            h2 = holder[g2]
+                            if h2 == h or mark[g2] == stamp:
+                                continue
+                            parent[g2] = g
+                            mark[g2] = stamp
+                            if h2 < 0:
+                                best_good = g2
+                                best_val = v
+                            else:
+                                queue.append(g2)
+                        if best_val >= ceiling:
+                            break
+                if best_good < 0:
                     break
-        if best_good < 0:
-            break
-        total += best_val
-        gain = best_val
-        # apply the chain: walk back to a good wanted by i, shifting holders
-        g = best_good
-        prev = parent[g]
-        while prev != -1:
-            h = holder[prev]
-            theirs = held[h]
-            theirs.remove(prev)
-            theirs.append(g)
-            holder[g] = h
-            g = prev
-            prev = parent[g]
-        holder[g] = i
-        mine.append(g)
-    return total
+                # apply the chain: walk back to a good wanted by i, shifting
+                # holders
+                g = best_good
+                prev = parent[g]
+                while prev != -1:
+                    h = holder[prev]
+                    theirs = held[h]
+                    theirs.remove(prev)
+                    theirs.append(g)
+                    holder[g] = h
+                    g = prev
+                    prev = parent[g]
+            total += best_val
+            gain = best_val
+            holder[g] = i
+            mine.append(g)
+            rest.remove(g)
+        gains.append(total)
+    _SEARCH_CALLS += searched
+    return gains, hits
+
+
+def add_agent(
+    scenario: "AllocationScenario",
+    holder: list[int],
+    held: list[list[int] | None],
+    i: int,
+) -> float:
+    """Add agent ``i`` to an optimal allocation in place; return the gain."""
+    return add_agents(scenario, holder, held, (i,))[0][0]
 
 
 def remove_agent(
     scenario: "AllocationScenario",
-    holder: dict[int, int],
-    held: dict[int, list[int]],
+    holder: list[int],
+    held: list[list[int] | None],
     i: int,
 ) -> float:
     """Remove member ``i`` from an optimal allocation in place; return the loss.
 
-    The mirror of ``add_agent``: on entry ``holder`` and ``held`` (with a key
-    for every member) describe an optimal allocation for a coalition S with
-    ``i``, on return one for S - i; the loss is v(S) - v(S - i).
+    The mirror of ``add_agent``: on entry ``holder`` and ``held`` describe
+    an optimal allocation for a coalition S with ``i``, on return one for
+    S - i; the loss is v(S) - v(S - i).
 
     ``i`` gives up one capacity unit at a time, and each changes the optimum
     by one alternating path (Leonard 1983): a member interested in one of
@@ -311,7 +398,8 @@ def remove_agent(
     _SEARCH_CALLS += 1
     k = scenario.k
     claimers, values = scenario.good_claimers, scenario.good_value_list
-    mine = held.pop(i)
+    mine = held[i]
+    held[i] = None
     losses: list[float] = []
     while mine:
         # parent[g] is the good that g's holder takes when it gives g up,
@@ -326,7 +414,7 @@ def remove_agent(
             if values[g] < values[cheapest]:
                 cheapest = g
             for b in claimers[g]:
-                if b in seen or b not in held:
+                if b in seen or held[b] is None:
                     continue
                 seen.add(b)
                 theirs = held[b]
@@ -341,7 +429,8 @@ def remove_agent(
         if taker < 0:
             # drop the cheapest good; its holder takes the good before it
             g = cheapest
-            h = holder.pop(g)
+            h = holder[g]
+            holder[g] = -1
             losses.append(values[g])
             if parent[g] == -1:
                 mine.remove(g)
@@ -413,10 +502,10 @@ def optimal_allocation(
             assignment[scenario.agents[i]].add(scenario.good_ids[j])
         value = float(scenario.solo_value[i])
     else:
-        holder, _ = greedy(scenario, coalition)
-        for g, a in holder.items():
-            assignment[scenario.agents[a]].add(scenario.good_ids[g])
-        value = _value(scenario, holder)
+        holder, _, kept = _greedy(scenario, coalition)
+        for g in kept:
+            assignment[scenario.agents[holder[g]]].add(scenario.good_ids[g])
+        value = _value(scenario, kept)
     return (
         Allocation(assignment={a: frozenset(g) for a, g in assignment.items()}),
         value,

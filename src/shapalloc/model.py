@@ -287,13 +287,15 @@ def mask_to_indices(mask: int, n: int) -> np.ndarray:
 
 @dataclass
 class AgentsGraph:
-    """Undirected adjacency over agents, as per-agent neighbor bitmasks.
+    """Undirected adjacency over agents, as per-agent neighbor bitmasks and
+    the same neighbors listed in ascending order.
 
     Two agents are adjacent iff they share at least one positive-value good.
     """
 
     n: int
     neighbor_masks: tuple[int, ...]
+    neighbor_lists: tuple[tuple[int, ...], ...]
 
     def neighbors(self, i: int) -> int:
         return self.neighbor_masks[i]
@@ -325,7 +327,11 @@ def build_agents_graph(scenario: AllocationScenario) -> AgentsGraph:
             neigh[i] |= mask
     for i in range(n):
         neigh[i] &= ~(1 << i)
-    return AgentsGraph(n=n, neighbor_masks=tuple(neigh))
+    return AgentsGraph(
+        n=n,
+        neighbor_masks=tuple(neigh),
+        neighbor_lists=tuple(tuple(iter_bits(mask)) for mask in neigh),
+    )
 
 
 def connected_components(mask: int, neighbor_masks: Sequence[int]) -> Iterator[int]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from .model import ScenarioError
@@ -64,7 +64,12 @@ class ShapleyReport:
         return float(sum(self.values()))
 
     def to_dict(self) -> dict:
-        return {"meta": self.meta, "agents": [asdict(r) for r in self.agents]}
+        # the fields are flat, so no deep copy (``dataclasses.asdict``) is needed
+        names = [f.name for f in fields(AgentResult)]
+        return {
+            "meta": self.meta,
+            "agents": [{name: getattr(r, name) for name in names} for r in self.agents],
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShapleyReport":

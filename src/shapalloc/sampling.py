@@ -5,10 +5,11 @@ Two samplers with different guarantees:
 * ``fpras_shapley`` draws uniformly random agent permutations and averages
   each agent's marginal contribution to its predecessors.  Small components
   read the marginals off a precomputed worth table; larger ones walk each
-  permutation carrying an optimal allocation of the prefix, so a step costs
-  at most k augmenting searches, an agent whose neighbors all come later
-  just takes its solo goods, and the permutation's last agent is credited
-  its grand marginal with no search.  Estimates from independent runs are
+  permutation carrying an optimal allocation of the prefix (one
+  ``matching.add_agents`` call per walk), so a step costs at most k
+  augmenting searches, an agent whose solo goods are all free just takes
+  them, and the permutation's last agent is credited its grand marginal
+  with no search.  Estimates from independent runs are
   combined by a per-agent median and finally scaled so the total matches
   the grand-coalition worth.
 
@@ -23,7 +24,7 @@ Two samplers with different guarantees:
 
 Each sampler takes its options as one config, ``cfg``.  The permutation
 sampler's loop mode and the range sampler walk in one job, ``_walk_job``,
-which runs each step inline.
+which leaves the carried allocation to ``matching``.
 Randomness is confined to per-job streams keyed by (master seed, sampler,
 key, batch), and job partials merge in job order, so reports are identical
 for any worker count.
@@ -133,22 +134,20 @@ def _walk_job(payload, job):
     is placed.  The permutation sampler caps every agent at its walks per
     run, so all of each walk counts.
 
-    A walk carries an optimal allocation of the prefix.  An agent none of
-    whose neighbors precede it takes its solo goods and contributes its
-    solo value (a shortcut hit); the permutation's last agent, its prefix
-    being N - j, is credited its grand marginal with no search; every other
-    step adds the agent by ``matching.add_agent``, at most k augmenting
-    searches.  Returns the key, the sums, the shortcut hits and the steps
-    walked.
+    A walk carries an optimal allocation of the prefix and adds its agents
+    with one ``matching.add_agents`` call: an agent whose solo goods are
+    all free takes them with no search, and contributes its solo value when
+    none of its neighbors precede it (a shortcut hit); any other agent
+    costs at most k augmenting searches.  The permutation's last agent, its
+    prefix being N - j, is credited its grand marginal with no search (a
+    hit if it has no neighbor at all).  Returns the key, the sums, the
+    shortcut hits and the steps walked.
     """
     scenario, seed, stream, caps, grand = payload
     key, batch_idx, count = job
     rng = _job_rng(seed, stream, key, batch_idx)
     n = scenario.n
     neigh = scenario.graph.neighbor_masks
-    solo_value = scenario.solo_value.tolist()
-    solo_goods = scenario.solo_goods
-    add_agent = matching.add_agent
     sums = [0.0] * n
     hits = 0
     steps = 0
@@ -158,26 +157,21 @@ def _walk_job(payload, job):
         stop = n
         while caps[perm[stop - 1]] <= t:
             stop -= 1
-        last = perm[-1] if stop == n else -1
-        holder: dict[int, int] = {}
-        held: dict[int, list[int]] = {}
-        prefix = 0
-        for j in perm[:stop]:
-            if neigh[j] & prefix == 0:
-                hits += 1
-                contrib = solo_value[j]
-                goods = solo_goods(j)
-                held[j] = list(goods)
-                for g in goods:
-                    holder[g] = j
-            elif j == last:
-                contrib = grand[j]
-            else:
-                contrib = add_agent(scenario, holder, held, j)
-            prefix |= 1 << j
-            if caps[j] > t:
-                sums[j] += contrib
         steps += stop
+        if stop == n:
+            last = perm[-1]
+            # an agent without neighbors has its solo value as grand marginal
+            if not neigh[last]:
+                hits += 1
+            sums[last] += grand[last]
+            stop -= 1
+        gains, walk_hits = matching.add_agents(
+            scenario, *matching.empty_allocation(scenario), perm[:stop]
+        )
+        hits += walk_hits
+        for j, gain in zip(perm, gains):
+            if caps[j] > t:
+                sums[j] += gain
     return key, np.asarray(sums), hits, steps
 
 
@@ -220,9 +214,10 @@ def fpras_shapley(
     which keeps an optimal allocation of the prefix and adds each agent to
     it by at most k augmentations, but for the last agent, credited its
     grand marginal.  The grand marginals come from one
-    ``matching.removal_marginals`` greedy, the loop mode's only matching,
-    so its ``meta`` reports ``matchings`` 1.  The table comes from
-    ``exact.worths``, one matching per distinct component.  ``cache`` is
+    ``matching.removal_marginals`` greedy and the rescale target v(N) from
+    ``char_value``, so on a connected component loop mode's ``meta``
+    reports ``matchings`` 2.  The table comes from ``exact.worths``, one
+    matching per distinct component, and its last entry is v(N).  ``cache`` is
     inert: nothing is looked up in it or stored in it, and it stays so that
     callers passing it positionally keep working.
 
@@ -250,6 +245,8 @@ def fpras_shapley(
             cfg.seed,
         )
         sums, shortcut_hits, _, _ = _run_batched(_fpras_table_job, budgets, payload, 1)
+        # bit for bit char_value(scenario, scenario.full_mask)
+        grand = float(vtab[-1])
     else:
         margs, work = _pool.counted(matching.removal_marginals, scenario, scenario.full_mask)
         caps = [perms_per_run] * n
@@ -257,12 +254,12 @@ def fpras_shapley(
         sums, shortcut_hits, _, walk_work = _run_batched(
             _walk_job, budgets, (scenario, cfg.seed, 0, caps, grand_margs), cfg.workers
         )
+        grand, grand_work = _pool.counted(char_value, scenario, scenario.full_mask)
         for field in ("matchings", "searches"):
-            work[field] += walk_work[field]
+            work[field] += walk_work[field] + grand_work[field]
     run_sums = np.vstack([sums[run] for run in range(cfg.runs)])
 
     medians = _run_median(run_sums / perms_per_run)
-    grand = char_value(scenario, scenario.full_mask)
     total = float(medians.sum())
     scale = grand / total if total != 0.0 else 1.0
     values = medians * scale
@@ -385,8 +382,9 @@ def range_sampler_shapley(
     need no samples at all: every marginal equals opt({i}).
 
     ``max(m_i)`` permutations are walked by ``_walk_job``, each carrying
-    the prefix's optimum, so a draw costs one solo shortcut or one
-    ``add_agent``, or for the permutation's last agent nothing: it reads
+    the prefix's optimum, so a draw costs taking the agent's free solo
+    goods or at most k augmenting searches, or for the permutation's last
+    agent nothing: it reads
     its range's ``grand_marginal``.  Walk t counts agent j's contribution
     iff t < m_j and stops once the last agent still owed one is placed.
     Draws of different agents share walks and so are dependent; neither
@@ -397,7 +395,7 @@ def range_sampler_shapley(
 
     The ranges come from ``compute_ranges``, counted by ``_pool.counted``,
     so ``meta["matchings"]`` counts its one greedy and ``meta["searches"]`` its
-    removal searches plus the walks' ``add_agent`` calls.  Nothing looks a
+    removal searches plus the walk steps that ran a search.  Nothing looks a
     worth up, so ``cache`` is inert; it stays so that callers passing it
     positionally keep working.
     """

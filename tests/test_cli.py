@@ -378,6 +378,22 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_loads_no_pool_or_fraction_modules():
+    # the process pool's modules load only when a pool starts, and exact
+    # weights need no fractions
+    code = (
+        "import sys, shapalloc, shapalloc.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'fractions')"
+        " if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_loop_mode_fpras_loads_no_numpy_ma():
     # np.median imports numpy.ma on first use, 10-20 ms in a fresh process
     code = (

@@ -27,6 +27,12 @@ class TestShapleyWeight:
         expect = Fraction(factorial(s) * factorial(n - s - 1), factorial(n))
         assert sa.shapley_weight(s, n) == pytest.approx(float(expect), rel=1e-15)
 
+    def test_integer_division_equals_the_fraction_bit_for_bit(self):
+        for n in range(1, 41):
+            for s in range(n):
+                want = float(Fraction(factorial(s) * factorial(n - s - 1), factorial(n)))
+                assert sa.shapley_weight(s, n).hex() == want.hex(), (s, n)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             sa.shapley_weight(-1, 5)

@@ -205,13 +205,7 @@ def test_remove_agent_exhaustive_against_brute_force():
                     loss = matching.remove_agent(scn, holder, held, i)
                     assert loss == pytest.approx(opt[m] - opt[rest], rel=1e-12, abs=1e-12)
                     assert loss == matching.marginal_gain(scn, rest, i), (k, seed, m, i)
-                    assert set(held) == set(sa.iter_bits(rest))
-                    assert holder == {g: a for a, goods in held.items() for g in goods}
-                    alloc = matching.Allocation(assignment={
-                        scn.agents[a]: frozenset(scn.good_ids[g] for g in goods)
-                        for a, goods in held.items()
-                    })
-                    alloc.validate(scn, rest)
+                    alloc = _checked_allocation(scn, holder, held, rest)
                     assert alloc.value(scn) == pytest.approx(opt[rest], rel=1e-12, abs=1e-12)
 
 
@@ -244,32 +238,89 @@ SEARCH_VALUE_SETS = (
 )
 
 
+def _checked_allocation(scn, holder, held, coalition):
+    """The carried allocation as an ``Allocation``, once its two lists are
+    checked: ``held`` has a list exactly for the coalition's members,
+    ``holder`` is its inverse, and the allocation is feasible."""
+    assert (len(holder), len(held)) == (len(scn.good_ids), scn.n)
+    members = {a for a, goods in enumerate(held) if goods is not None}
+    assert members == set(sa.iter_bits(coalition))
+    assert {g: a for g, a in enumerate(holder) if a >= 0} == {
+        g: a for a in members for g in held[a]
+    }
+    alloc = matching.Allocation({
+        scn.agents[a]: frozenset(scn.good_ids[g] for g in held[a]) for a in members
+    })
+    alloc.validate(scn, coalition)
+    return alloc
+
+
 def test_add_agent_matches_the_unbounded_search():
     # the bounded search may apply another optimal augmentation than the
     # unbounded one, so each walk carries its own allocation; the gains are
     # the optimum's unit increments and must agree bit for bit
     rng = np.random.default_rng(11)
     steps = 0
+    kinds = {"alone": 0, "free": 0, "search": 0}
     for inst in range(600):
         n, k = 4 + inst % 7, 1 + inst % 3
         scn = sa.generate(agents=n, goods_per_agent=1.6, coauthor_prob=0.6, max_claimers=3,
                           value_set=SEARCH_VALUE_SETS[inst % 4], k=k, seed=1000 + inst)
+        neigh = scn.graph.neighbor_masks
         for _ in range(2):
-            holder, held, ref_holder, ref_held = {}, {}, {}, {}
+            perm = rng.permutation(n).tolist()
+            # the whole permutation in one call
+            whole = matching.empty_allocation(scn)
+            s0 = matching.search_calls()
+            gains, hits = matching.add_agents(scn, *whole, perm)
+            searches = matching.search_calls() - s0
+            _checked_allocation(scn, *whole, scn.full_mask)
+            # the same agents one call each, checking every prefix
+            holder, held = matching.empty_allocation(scn)
+            ref_holder, ref_held = {}, {}
             prefix = 0
-            for j in rng.permutation(n).tolist():
-                gain = matching.add_agent(scn, holder, held, j)
+            want_hits = want_searches = 0
+            for j, gain in zip(perm, gains):
                 want = reference_add_agent(scn, ref_holder, ref_held, j)
                 assert gain.hex() == want.hex(), (inst, prefix, j)
+                if neigh[j] & prefix == 0:
+                    kinds["alone"] += 1
+                    want_hits += 1
+                elif all(holder[g] < 0 for g in scn.solo_goods(j)):
+                    kinds["free"] += 1
+                else:
+                    kinds["search"] += 1
+                    want_searches += 1
+                assert matching.add_agent(scn, holder, held, j).hex() == want.hex()
                 prefix |= 1 << j
-                assert holder == {g: a for a, goods in held.items() for g in goods}
-                alloc = matching.Allocation({
-                    scn.agents[a]: frozenset(scn.good_ids[g] for g in goods)
-                    for a, goods in held.items()
-                })
-                alloc.validate(scn, prefix)
+                alloc = _checked_allocation(scn, holder, held, prefix)
                 assert alloc.value(scn) == pytest.approx(
                     matching.optimal_value_only(scn, prefix), rel=1e-12, abs=1e-12)
                 steps += 1
+            assert (hits, searches) == (want_hits, want_searches), inst
+            assert (holder, held) == whole
     assert steps == 2 * sum(4 + inst % 7 for inst in range(600))
+    # every kind of step occurs: no earlier neighbor, free solo goods with
+    # a neighbor present, and a search
+    assert min(kinds.values()) > 1000, kinds
 
+
+def test_add_agents_over_a_long_sequence():
+    # every agent that searches stamps the search's marks at least once, so
+    # one call over this 509-agent component stamps them more than the 255
+    # times a bytearray holds before the marks are made again
+    scn = sa.generate(agents=800, coauthor_prob=0.6, max_claimers=2,
+                      value_weights=(0.2, 0.2, 0.2, 0.2, 0.2), k=3, seed=77)
+    comp = max(scn.graph.components(), key=int.bit_count)
+    members = list(sa.iter_bits(comp))
+    perm = [members[j] for j in np.random.default_rng(2).permutation(len(members))]
+    holder, held = matching.empty_allocation(scn)
+    s0 = matching.search_calls()
+    gains, _ = matching.add_agents(scn, holder, held, perm)
+    assert matching.search_calls() - s0 > 255
+    ref_holder, ref_held = {}, {}
+    for j, gain in zip(perm, gains):
+        assert gain.hex() == reference_add_agent(scn, ref_holder, ref_held, j).hex(), j
+    alloc = _checked_allocation(scn, holder, held, comp)
+    assert alloc.value(scn) == pytest.approx(
+        matching.optimal_value_only(scn, comp), rel=1e-12, abs=1e-12)

@@ -195,6 +195,7 @@ class TestAgentsGraph:
                     continue
                 shared = set(scn.positive_goods(i)) & set(scn.positive_goods(j))
                 assert bool(graph.neighbor_masks[i] >> j & 1) == bool(shared)
+            assert graph.neighbor_lists[i] == tuple(sa.iter_bits(graph.neighbor_masks[i]))
 
     def test_symmetry(self):
         scn = random_scenario(78, n=10)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -103,6 +104,16 @@ def test_solve_on_a_scenario_matches_the_cli_report(tmp_path, sampler):
     for rec in rep.agents:
         if rec.kind == "estimate":
             assert rec.lb <= rec.value <= rec.ub
+    # to_dict builds each record from its fields: the same dicts, and the
+    # same JSON, as dataclasses.asdict gives, for every kind of record
+    bounds = sa.shapley_bounds(scn, max_neigh=3)
+    kinds = set()
+    for report in (rep, bounds):
+        want = {"meta": report.meta, "agents": [dataclasses.asdict(r) for r in report.agents]}
+        assert report.to_dict() == want
+        assert json.dumps(report.to_dict()) == json.dumps(want)
+        kinds |= {r.kind for r in report.agents}
+    assert kinds == {"exact", "interval", "estimate"}
 
 
 

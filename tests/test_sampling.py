@@ -220,14 +220,29 @@ class TestFpras:
             c for m in range(1 << scn.n) for c in sa.connected_components(m, neigh) if c & (c - 1)
         }
         cfg = sa.FprasConfig(epsilon=0.4, delta=0.3, seed=4)
-        # the loop walk's one greedy gives the grand marginals
-        for limit, mode, matchings in ((sampling.TABLE_LIMIT, "table", len(comps)), (4, "loop", 1)):
+        # the loop walk's one greedy gives the grand marginals, and
+        # char_value's greedies the grand value
+        loop = 1 + sum(1 for c in scn.graph.components() if c & (c - 1))
+        for limit, mode, matchings in ((sampling.TABLE_LIMIT, "table", len(comps)), (4, "loop", loop)):
             monkeypatch.setattr("shapalloc.sampling.TABLE_LIMIT", limit)
             cache = sa.CharacteristicCache()
             meta = sa.fpras_shapley(scn, cache, cfg=cfg).meta
             assert (meta["mode"], meta["matchings"]) == (mode, matchings)
             assert (len(cache), cache.hits, cache.misses) == (0, 0, 0)
             assert "cache" not in meta
+
+    def test_matchings_count_every_greedy_run(self, monkeypatch):
+        # meta["matchings"] is every greedy the sampler runs, the grand
+        # value's included, in either mode
+        scn = random_scenario(480, n=10)
+        cfg = sa.FprasConfig(epsilon=0.4, delta=0.3, seed=4)
+        for limit, mode in ((sampling.TABLE_LIMIT, "table"), (4, "loop")):
+            monkeypatch.setattr("shapalloc.sampling.TABLE_LIMIT", limit)
+            m0 = matching.solve_calls()
+            meta = sa.fpras_shapley(scn, cfg=cfg).meta
+            assert meta["mode"] == mode
+            assert meta["matchings"] == matching.solve_calls() - m0 > 0
+            assert meta["grand_value"] == sa.char_value(scn, scn.full_mask)
 
     def test_seeded_determinism_and_worker_invariance(self, monkeypatch):
         monkeypatch.setattr("shapalloc.sampling.TABLE_LIMIT", 4)
@@ -277,7 +292,7 @@ def test_permutation_walk_carries_the_prefix_optimum():
         optimum = {}
         for _ in range(2):
             perm = rng.permutation(n).tolist()
-            holder, held = {}, {}
+            holder, held = matching.empty_allocation(scn)
             prefix = 0
             walk = permutation_walk(scn, perm, holder, held, add=matching.add_agent)
             for j, contrib, alone in walk:
@@ -285,9 +300,12 @@ def test_permutation_walk_carries_the_prefix_optimum():
                 assert contrib == pytest.approx(want, rel=1e-12, abs=1e-12), (seed, prefix, j)
                 assert alone == (scn.graph.neighbor_masks[j] & prefix == 0)
                 prefix |= 1 << j
-                assert holder == {g: a for a, goods in held.items() for g in goods}
-                alloc = Allocation({scn.agents[a]: frozenset(scn.good_ids[g] for g in goods)
-                                    for a, goods in held.items()})
+                members = [a for a, goods in enumerate(held) if goods is not None]
+                assert members == sorted(sa.iter_bits(prefix))
+                assert {g: a for g, a in enumerate(holder) if a >= 0} == {
+                    g: a for a in members for g in held[a]}
+                alloc = Allocation({scn.agents[a]: frozenset(scn.good_ids[g] for g in held[a])
+                                    for a in members})
                 alloc.validate(scn, prefix)
                 if prefix not in optimum:
                     optimum[prefix] = (brute_force_opt(scn, prefix) if n <= 7
@@ -366,6 +384,7 @@ def test_walk_credits_the_last_agent_its_grand_marginal():
     # only the permutation's last agent is owed a contribution, so the walk
     # runs to the end and the sums hold that one contribution
     last_kinds = set()
+    free_solo_steps = 0
     for inst in range(40):
         n = 5 + inst % 6
         scn = sa.generate(agents=n, goods_per_agent=1.4, coauthor_prob=0.4,
@@ -382,19 +401,31 @@ def test_walk_credits_the_last_agent_its_grand_marginal():
         searches = matching.search_calls() - s0
         connected = []
         prefix = 0
+        # the steps before the last that find a solo good held, on the
+        # kernel's own carried allocation
+        held_solo = 0
+        holder, held = matching.empty_allocation(scn)
         for j in perm:
             connected.append(neigh[j] & prefix != 0)
             prefix |= 1 << j
+            if j != last:
+                held_solo += any(holder[g] >= 0 for g in scn.solo_goods(j))
+                matching.add_agent(scn, holder, held, j)
         assert steps == n
         want = sa.marginal_restricted(scn, last, scn.full_mask & ~(1 << last))
         assert sums[last].hex() == margs[last].hex() == want.hex(), inst
         assert all(sums[j] == 0.0 for j in perm[:-1])
-        # one add_agent per connected step but the last, a hit per other step
-        assert searches == sum(connected[:-1])
+        # one search per step but the last that finds a solo good held, a hit
+        # per step without an earlier neighbor
+        assert searches == held_solo
+        assert held_solo <= sum(connected[:-1])
         assert hits == n - sum(connected)
         last_kinds.add(connected[-1])
+        free_solo_steps += sum(connected[:-1]) - held_solo
     # some last agents have a neighbor and some have none
     assert last_kinds == {False, True}
+    # and some connected steps find their solo goods free
+    assert free_solo_steps > 0
 
 
 def test_loop_walks_rebuild_the_permutation_sampler(monkeypatch):
