@@ -33,5 +33,5 @@ for agent, goods in allocation.assignment.items():
 
 print("\nagents graph adjacency (shared positive goods):")
 for i, a in enumerate(scenario.agents):
-    neigh = [scenario.agents[j] for j in sa.iter_bits(scenario.graph.neighbors(i))]
+    neigh = [scenario.agents[j] for j in scenario.graph.neighbor_lists[i]]
     print(f"  {a}: {neigh}")

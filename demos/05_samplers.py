@@ -25,13 +25,12 @@ fpras = sa.fpras_shapley(comp, cfg=sa.FprasConfig(epsilon=0.3, delta=0.05, seed=
 print(f"\npermutation sampler: {fpras.meta['contributions_per_run']} contributions/run, "
       f"{fpras.meta['runs']} runs, shortcut served {fpras.meta['shortcut_fraction']:.0%}")
 
-ranges = sa.compute_ranges(comp)
 rng = sa.range_sampler_shapley(
     comp, cfg=sa.RangeSamplerConfig(epsilon=0.1, delta=0.05, seed=1)
 )
 print(f"range sampler: {rng.meta['total_samples']} samples total from "
       f"{rng.meta['walks']} shared walks ({rng.meta['walk_steps']} steps); "
-      f"{sum(1 for r in ranges.values() if r.width == 0.0)} agents needed none")
+      f"{sum(1 for w in rng.meta['ranges'].values() if w == 0.0)} agents needed none")
 
 print(f"\n{'agent':<8} {'fpras':>9} {'range':>9}" + ("  exact" if exact else ""))
 for rec_f, rec_r in zip(fpras.agents[:10], rng.agents[:10]):

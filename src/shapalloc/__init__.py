@@ -22,7 +22,6 @@ from .model import (
     connected_components,
     iter_bits,
     load_scenario,
-    marginal_contribution,
     marginal_restricted,
     mask_from_indices,
     save_scenario,
@@ -44,10 +43,8 @@ from .preprocess import (
 from .exact import ComponentTooLarge, exact_shapley, shapley_weight
 from .bounds import profile_weight, shapley_bounds
 from .sampling import (
-    AgentRange,
     FprasConfig,
     RangeSamplerConfig,
-    compute_ranges,
     fpras_shapley,
     hoeffding_sample_count,
     range_sampler_shapley,
@@ -57,7 +54,6 @@ from .report import AgentResult, ShapleyReport, merge_reports
 from .pipeline import solve
 
 __all__ = [
-    "AgentRange",
     "AgentResult",
     "AgentsGraph",
     "Allocation",
@@ -73,7 +69,6 @@ __all__ = [
     "build_agents_graph",
     "char_value",
     "component_of",
-    "compute_ranges",
     "connected_components",
     "drop_empty_agents",
     "exact_shapley",
@@ -83,7 +78,6 @@ __all__ = [
     "iter_bits",
     "load_scenario",
     "hoeffding_sample_count",
-    "marginal_contribution",
     "marginal_restricted",
     "mask_from_indices",
     "merge_reports",

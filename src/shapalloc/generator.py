@@ -88,6 +88,8 @@ def extract_subgraph(
     scenario: AllocationScenario, size: int, seed: int = 0
 ) -> AllocationScenario:
     """Scenario restricted to ``size`` distinct agents sampled uniformly."""
+    if size < 0:
+        raise ValueError(f"size must be at least 0, got {size}")
     if size > scenario.n:
         raise ValueError(f"cannot extract {size} agents from {scenario.n}")
     if size == scenario.n:

@@ -174,30 +174,6 @@ class Allocation:
 
     assignment: dict[str, frozenset[str]]
 
-    def value(self, scenario: "AllocationScenario") -> float:
-        total = 0.0
-        for goods in self.assignment.values():
-            for g in goods:
-                total += float(scenario.good_values[scenario.good_index[g]])
-        return total
-
-    def validate(self, scenario: "AllocationScenario", coalition: Coalition) -> None:
-        members = set(scenario.ids_of(coalition))
-        seen: set[str] = set()
-        for a, goods in self.assignment.items():
-            if a not in members:
-                raise ScenarioError(f"allocation assigns goods to non-member {a!r}")
-            if len(goods) > scenario.k:
-                raise ScenarioError(f"agent {a!r} holds more than k={scenario.k} goods")
-            row = scenario.interest[scenario.agent_index[a]]
-            allowed = {scenario.good_ids[j] for j in row}
-            for g in goods:
-                if g not in allowed:
-                    raise ScenarioError(f"agent {a!r} assigned uninteresting good {g!r}")
-                if g in seen:
-                    raise ScenarioError(f"good {g!r} assigned twice")
-                seen.add(g)
-
 
 def add_agents(
     scenario: "AllocationScenario",
@@ -483,7 +459,7 @@ def marginal_gain(scenario: "AllocationScenario", coalition: Coalition, i: int) 
     """
     if coalition & (1 << i):
         raise ScenarioError(f"agent index {i} already belongs to the coalition")
-    if not scenario.positive_goods(i):
+    if not scenario.positive_interest[i]:
         return 0.0
     holder, held = greedy(scenario, coalition)
     return add_agent(scenario, holder, held, i)

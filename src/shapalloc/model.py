@@ -140,10 +140,6 @@ class AllocationScenario:
     def full_mask(self) -> Coalition:
         return (1 << self.n) - 1
 
-    def positive_goods(self, i: int) -> tuple[int, ...]:
-        """Indices of positive-value goods agent ``i`` is interested in."""
-        return self.positive_interest[i]
-
     def solo_goods(self, i: int) -> tuple[int, ...]:
         """Goods an agent alone would take (top ``k`` by value)."""
         return self.ranked_interest[i][: self.k]
@@ -183,11 +179,8 @@ class AllocationScenario:
         used: set[int] = set()
         for a in agents:
             used.update(self.interest[self.agent_index[a]])
-        goods = [
-            (self.good_ids[j], float(self.good_values[j]))
-            for j in range(len(self.good_ids))
-            if j in used
-        ]
+        # ascending good index is declaration order
+        goods = [(self.good_ids[j], self.good_value_list[j]) for j in sorted(used)]
         interest = {
             a: [self.good_ids[j] for j in self.interest[self.agent_index[a]]]
             for a in agents
@@ -297,20 +290,6 @@ class AgentsGraph:
     neighbor_masks: tuple[int, ...]
     neighbor_lists: tuple[tuple[int, ...], ...]
 
-    def neighbors(self, i: int) -> int:
-        return self.neighbor_masks[i]
-
-    def degree(self, i: int) -> int:
-        return self.neighbor_masks[i].bit_count()
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            for j in iter_bits(self.neighbor_masks[i]):
-                if j > i:
-                    out.append((i, j))
-        return out
-
     def components(self) -> list[int]:
         """Connected components of the graph, as masks."""
         return list(connected_components((1 << self.n) - 1, self.neighbor_masks))
@@ -418,16 +397,6 @@ def char_value(scenario: AllocationScenario, coalition: Coalition) -> float:
     for comp in connected_components(coalition, scenario.graph.neighbor_masks):
         total += matching.optimal_value_only(scenario, comp)
     return total
-
-
-def marginal_contribution(
-    scenario: AllocationScenario, i: int, coalition: Coalition
-) -> float:
-    """v(C + i) - v(C) for an agent i outside C."""
-    bit = 1 << i
-    if coalition & bit:
-        raise ScenarioError(f"agent index {i} already belongs to the coalition")
-    return char_value(scenario, coalition | bit) - char_value(scenario, coalition)
 
 
 def marginal_restricted(

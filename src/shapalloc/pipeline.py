@@ -22,19 +22,14 @@ from .sampling import FprasConfig, RangeSamplerConfig, fpras_shapley, range_samp
 SAMPLERS = ("fpras", "range")
 
 
-def _estimate(comp, intervals, sampler, epsilon, delta, seed, threads) -> ShapleyReport:
+def _estimate(comp, intervals, cfg) -> ShapleyReport:
     """The sampler's estimates for one component."""
-    if sampler == "fpras":
-        cfg = FprasConfig(epsilon=epsilon, delta=delta, seed=seed, workers=threads)
+    if isinstance(cfg, FprasConfig):
         return fpras_shapley(comp, cfg=cfg)
     # relative targets need every lower bound positive
     lbs = {a: r.lb for a, r in intervals.items()}
-    mode = "rel" if all(v > 0.0 for v in lbs.values()) else "abs"
-    cfg = RangeSamplerConfig(
-        epsilon=epsilon, delta=delta, mode=mode,
-        lower_bounds=lbs if mode == "rel" else None,
-        seed=seed, workers=threads,
-    )
+    if all(v > 0.0 for v in lbs.values()):
+        cfg = replace(cfg, mode="rel", lower_bounds=lbs)
     return range_sampler_shapley(comp, cfg=cfg)
 
 
@@ -63,11 +58,11 @@ def solve(
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
-    (FprasConfig if sampler == "fpras" else RangeSamplerConfig)(
-        epsilon=epsilon, delta=delta, seed=seed
-    )
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    cfg = (FprasConfig if sampler == "fpras" else RangeSamplerConfig)(
+        epsilon=epsilon, delta=delta, seed=seed, workers=threads
+    )
     t0 = time.perf_counter()
     pre = run_pipeline(scenario)
 
@@ -90,7 +85,7 @@ def solve(
         intervals = shapley_bounds(comp, max_neigh=bounds_max_neigh, workers=threads).by_agent()
         timings["bounds"] += time.perf_counter() - t
         t = time.perf_counter()
-        est = _estimate(comp, intervals, sampler, epsilon, delta, seed, threads)
+        est = _estimate(comp, intervals, cfg)
         timings["sampler"] += time.perf_counter() - t
         merged = []
         for rec in est.agents:

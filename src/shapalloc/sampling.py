@@ -303,30 +303,6 @@ def fpras_shapley(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AgentRange:
-    """Extremes of one agent's marginal contributions."""
-
-    solo: float  # opt({i}) = marginal to the empty coalition
-    grand_marginal: float  # marginal to everyone else
-    width: float  # solo - grand_marginal, >= 0
-
-
-def compute_ranges(scenario: AllocationScenario) -> dict[str, AgentRange]:
-    """Per-agent marginal-contribution ranges r_i = opt({i}) - marg(i, N).
-
-    Every marg(i, N) comes from one greedy for N, each agent removed from
-    that optimum and added back (``matching.removal_marginals``).
-    """
-    margs = matching.removal_marginals(scenario, scenario.full_mask)
-    out: dict[str, AgentRange] = {}
-    for i, a in enumerate(scenario.agents):
-        solo = float(scenario.solo_value[i])
-        marg = margs[i]
-        out[a] = AgentRange(solo=solo, grand_marginal=marg, width=max(0.0, solo - marg))
-    return out
-
-
 def hoeffding_sample_count(width: float, epsilon: float, delta_i: float) -> int:
     """Hoeffding sample bound: ceil(ln(2/delta_i) * r^2 / (2 eps^2))."""
     if width <= 0.0:
@@ -384,75 +360,65 @@ def range_sampler_shapley(
     ``max(m_i)`` permutations are walked by ``_walk_job``, each carrying
     the prefix's optimum, so a draw costs taking the agent's free solo
     goods or at most k augmenting searches, or for the permutation's last
-    agent nothing: it reads
-    its range's ``grand_marginal``.  Walk t counts agent j's contribution
-    iff t < m_j and stops once the last agent still owed one is placed.
-    Draws of different agents share walks and so are dependent; neither
-    Hoeffding's bound per agent nor the union bound over agents needs them
-    independent.
-    ``meta["walks"]`` counts the walks and ``meta["walk_steps"]`` the
-    contributions computed, counted or not.
+    agent nothing: it reads its grand marginal.  Walk t counts agent j's
+    contribution iff t < m_j and stops once the last agent still owed one
+    is placed.  Draws of different agents share walks and so are
+    dependent; neither Hoeffding's bound per agent nor the union bound over
+    agents needs them independent.  ``meta["walks"]`` counts the walks and
+    ``meta["walk_steps"]`` the contributions computed, counted or not.
 
-    The ranges come from ``compute_ranges``, counted by ``_pool.counted``,
-    so ``meta["matchings"]`` counts its one greedy and ``meta["searches"]`` its
-    removal searches plus the walk steps that ran a search.  Nothing looks a
-    worth up, so ``cache`` is inert; it stays so that callers passing it
-    positionally keep working.
+    Every grand marginal marg(i, N) comes from one greedy for N, each agent
+    removed from that optimum and added back
+    (``matching.removal_marginals``), counted by ``_pool.counted``, so
+    ``meta["matchings"]`` counts that greedy and ``meta["searches"]`` its
+    removal searches plus the walk steps that ran a search.  Agent i's
+    width r_i = max(0, opt({i}) - marg(i, N)) is ``meta["ranges"]``.
+    Nothing looks a worth up, so ``cache`` is inert; it stays so that
+    callers passing it positionally keep working.
     """
     t0 = time.perf_counter()
     n = scenario.n
     if n == 0:
         return ShapleyReport(agents=[], meta={"method": "range-sample", "n": 0})
-    ranges, base = _pool.counted(compute_ranges, scenario)
+    margs, work = _pool.counted(matching.removal_marginals, scenario, scenario.full_mask)
+    grand = [margs[i] for i in range(n)]
+    solo = scenario.solo_value.tolist()
+    widths = [max(0.0, s - m) for s, m in zip(solo, grand)]
     delta_i = cfg.delta / n
 
-    eps_i: dict[str, float] = {}
     if cfg.mode == "abs":
-        for a in scenario.agents:
-            eps_i[a] = cfg.epsilon
+        eps = [cfg.epsilon] * n
     else:
-        for a in scenario.agents:
-            lb = (
-                cfg.lower_bounds.get(a)
-                if cfg.lower_bounds is not None
-                else ranges[a].grand_marginal
-            )
+        eps = []
+        for a, marg in zip(scenario.agents, grand):
+            lb = cfg.lower_bounds.get(a) if cfg.lower_bounds is not None else marg
             if lb is None or lb <= 0.0:
                 raise ValueError(
                     f"relative mode needs a positive lower bound for agent {a!r}; "
                     f"compute bounds first or use absolute mode"
                 )
-            eps_i[a] = cfg.epsilon * lb
+            eps.append(cfg.epsilon * lb)
+    caps = [hoeffding_sample_count(w, e, delta_i) for w, e in zip(widths, eps)]
 
-    needed = {
-        a: hoeffding_sample_count(ranges[a].width, eps_i[a], delta_i)
-        for a in scenario.agents
-    }
-
-    caps = [needed[a] for a in scenario.agents]
-    grand_margs = [ranges[a].grand_marginal for a in scenario.agents]
     walks = max(caps)
-    sums, _, walk_steps, work = _run_batched(
-        _walk_job, [(0, walks)], (scenario, cfg.seed, 1, caps, grand_margs), cfg.workers
+    sums, _, walk_steps, walk_work = _run_batched(
+        _walk_job, [(0, walks)], (scenario, cfg.seed, 1, caps, grand), cfg.workers
     )
     for field in ("matchings", "searches"):
-        work[field] += base[field]
+        work[field] += walk_work[field]
 
-    agents = []
-    for i, a in enumerate(scenario.agents):
-        m_i = needed[a]
-        est = sums[0][i] / m_i if m_i else ranges[a].solo
-        agents.append(
-            AgentResult(
-                agent=a,
-                kind="estimate",
-                method="range-sample",
-                value=float(est),
-                epsilon=eps_i[a],
-                delta=delta_i,
-                samples=m_i,
-            )
+    agents = [
+        AgentResult(
+            agent=a,
+            kind="estimate",
+            method="range-sample",
+            value=float(sums[0][i] / caps[i] if caps[i] else solo[i]),
+            epsilon=eps[i],
+            delta=delta_i,
+            samples=caps[i],
         )
+        for i, a in enumerate(scenario.agents)
+    ]
     meta = {
         "method": "range-sample",
         "n": n,
@@ -461,10 +427,10 @@ def range_sampler_shapley(
         "mode": cfg.mode,
         "seed": cfg.seed,
         "workers": cfg.workers,
-        "total_samples": int(sum(needed.values())),
+        "total_samples": sum(caps),
         "walks": walks,
         "walk_steps": walk_steps,
-        "ranges": {a: r.width for a, r in ranges.items()},
+        "ranges": dict(zip(scenario.agents, widths)),
         **work,
         "wall_time": time.perf_counter() - t0,
     }

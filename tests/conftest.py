@@ -70,6 +70,13 @@ def two_slot_game():
     return capacity_two_game()
 
 
+def char_value_marginal(scenario, i: int, coalition: int) -> float:
+    """v(C + i) - v(C) for an agent i outside C, from two ``char_value``
+    calls: the independent reference for ``marginal_restricted``."""
+    assert not coalition >> i & 1, "agent already belongs to the coalition"
+    return sa.char_value(scenario, coalition | 1 << i) - sa.char_value(scenario, coalition)
+
+
 def exact_values(scenario, **kw) -> dict[str, float]:
     rep = sa.exact_shapley(scenario, **kw)
     return {r.agent: r.value for r in rep.agents}

@@ -93,6 +93,32 @@ def useless_pairs(scenario, tol: float = 1e-9) -> list[tuple[str, str]]:
     return pairs
 
 
+def allocation_value(scenario, assignment) -> float:
+    """Total value of an assignment ``{agent id: good ids}``."""
+    total = 0.0
+    for goods in assignment.values():
+        for g in goods:
+            total += float(scenario.good_values[scenario.good_index[g]])
+    return total
+
+
+def validate_allocation(scenario, assignment, coalition: int) -> None:
+    """Assert that an assignment ``{agent id: good ids}`` is feasible for the
+    coalition: only members hold goods, each at most ``k`` goods it is
+    interested in, and no good is held twice."""
+    members = {scenario.agents[i] for i in range(scenario.n) if coalition >> i & 1}
+    seen: set[str] = set()
+    for a, goods in assignment.items():
+        assert a in members, f"allocation assigns goods to non-member {a!r}"
+        assert len(goods) <= scenario.k, f"agent {a!r} holds more than k={scenario.k} goods"
+        row = scenario.interest[scenario.agent_index[a]]
+        allowed = {scenario.good_ids[j] for j in row}
+        for g in goods:
+            assert g in allowed, f"agent {a!r} assigned uninteresting good {g!r}"
+            assert g not in seen, f"good {g!r} assigned twice"
+            seen.add(g)
+
+
 def char_table(scenario) -> dict[int, float]:
     """Characteristic function for every coalition mask, brute forced."""
     return {m: brute_force_opt(scenario, m) for m in range(1 << scenario.n)}

@@ -134,7 +134,7 @@ def test_criterion_3_bounds_contain_exact_values():
                 collapsed_checked += 1
                 assert rec.lb == pytest.approx(sv, rel=REL, abs=REL)
             i = scn.agent_index[rec.agent]
-            deg = scn.graph.degree(i)
+            deg = len(scn.graph.neighbor_lists[i])
             l = n - deg - 1
             total = sum(
                 sa.profile_weight(l, p, deg - p, n) * math.comb(deg, p)

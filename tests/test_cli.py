@@ -38,13 +38,15 @@ def test_generate_writes_scenario(tmp_path):
     assert scn.n == 12
 
 
-def test_extract_subcommand(tmp_path):
+def test_extract_subcommand(tmp_path, capsys):
     scn_path = tmp_path / "scn.json"
     sub_path = tmp_path / "sub.json"
     run_cli("generate", "--agents", "20", "--seed", "3", "--out", str(scn_path))
     assert run_cli("extract", "--scenario", str(scn_path), "--size", "6",
                    "--seed", "1", "--out", str(sub_path)) == 0
     assert sa.load_scenario(str(sub_path)).n == 6
+    assert run_cli("extract", "--scenario", str(scn_path), "--size", "-3") == 2
+    assert capsys.readouterr().err.startswith("error: size must be at least 0, got -3")
 
 
 def test_components_subcommand(ref_file, tmp_path):

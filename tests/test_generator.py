@@ -20,7 +20,7 @@ def test_different_seeds_differ():
 
 def test_no_coauthorship_means_edgeless_graph():
     scn = sa.generate(agents=25, coauthor_prob=0.0, seed=1)
-    assert scn.graph.edges() == []
+    assert not any(scn.graph.neighbor_masks)
     report = sa.run_pipeline(scn)
     assert report.components == []
     assert len(report.resolved) + len(report.removed_empty) == 25
@@ -84,6 +84,11 @@ class TestExtract:
         scn = sa.generate(agents=15, seed=9)
         with pytest.raises(ValueError):
             sa.extract_subgraph(scn, 16, seed=1)
+
+    def test_negative_size_rejected(self):
+        scn = sa.generate(agents=15, seed=9)
+        with pytest.raises(ValueError, match="size must be at least 0, got -3"):
+            sa.extract_subgraph(scn, -3, seed=1)
 
     def test_goods_are_union_of_sampled_interests(self):
         scn = sa.generate(agents=30, coauthor_prob=0.4, seed=10)

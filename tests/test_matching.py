@@ -5,7 +5,13 @@ import shapalloc as sa
 from shapalloc import matching
 
 from conftest import random_scenario
-from oracles import brute_force_opt, greedy_disjoint_value, reference_add_agent
+from oracles import (
+    allocation_value,
+    brute_force_opt,
+    greedy_disjoint_value,
+    reference_add_agent,
+    validate_allocation,
+)
 
 
 def test_single_agent_takes_both_goods():
@@ -35,7 +41,8 @@ def test_value_only_equals_allocation_value(ref_game):
     for m in range(1, 1 << ref_game.n):
         alloc, value = sa.optimal_allocation(ref_game, m)
         assert sa.optimal_value_only(ref_game, m) == value
-        assert alloc.value(ref_game) == pytest.approx(value, rel=1e-12, abs=1e-12)
+        assert allocation_value(ref_game, alloc.assignment) == pytest.approx(
+            value, rel=1e-12, abs=1e-12)
 
 
 def test_matches_exhaustive_search():
@@ -110,7 +117,7 @@ def test_allocations_feasible_on_random_instances():
         for _ in range(10):
             m = int(rng.integers(1, 1 << scn.n))
             alloc, value = sa.optimal_allocation(scn, m)
-            alloc.validate(scn, m)
+            validate_allocation(scn, alloc.assignment, m)
             assert value >= 0.0
 
 
@@ -126,7 +133,7 @@ def test_exhaustive_against_brute_force_with_ties():
                     want, rel=1e-12, abs=1e-12
                 ), (k, seed, m)
                 alloc, value = sa.optimal_allocation(scn, m)
-                alloc.validate(scn, m)
+                validate_allocation(scn, alloc.assignment, m)
                 assert value == pytest.approx(want, rel=1e-12, abs=1e-12), (k, seed, m)
 
 
@@ -206,7 +213,8 @@ def test_remove_agent_exhaustive_against_brute_force():
                     assert loss == pytest.approx(opt[m] - opt[rest], rel=1e-12, abs=1e-12)
                     assert loss == matching.marginal_gain(scn, rest, i), (k, seed, m, i)
                     alloc = _checked_allocation(scn, holder, held, rest)
-                    assert alloc.value(scn) == pytest.approx(opt[rest], rel=1e-12, abs=1e-12)
+                    assert allocation_value(scn, alloc) == pytest.approx(
+                        opt[rest], rel=1e-12, abs=1e-12)
 
 
 def test_removal_marginals_match_restricted():
@@ -239,19 +247,18 @@ SEARCH_VALUE_SETS = (
 
 
 def _checked_allocation(scn, holder, held, coalition):
-    """The carried allocation as an ``Allocation``, once its two lists are
-    checked: ``held`` has a list exactly for the coalition's members,
-    ``holder`` is its inverse, and the allocation is feasible."""
+    """The carried allocation as an assignment ``{agent id: good ids}``,
+    once its two lists are checked: ``held`` has a list exactly for the
+    coalition's members, ``holder`` is its inverse, and the allocation is
+    feasible."""
     assert (len(holder), len(held)) == (len(scn.good_ids), scn.n)
     members = {a for a, goods in enumerate(held) if goods is not None}
     assert members == set(sa.iter_bits(coalition))
     assert {g: a for g, a in enumerate(holder) if a >= 0} == {
         g: a for a in members for g in held[a]
     }
-    alloc = matching.Allocation({
-        scn.agents[a]: frozenset(scn.good_ids[g] for g in held[a]) for a in members
-    })
-    alloc.validate(scn, coalition)
+    alloc = {scn.agents[a]: frozenset(scn.good_ids[g] for g in held[a]) for a in members}
+    validate_allocation(scn, alloc, coalition)
     return alloc
 
 
@@ -294,7 +301,7 @@ def test_add_agent_matches_the_unbounded_search():
                 assert matching.add_agent(scn, holder, held, j).hex() == want.hex()
                 prefix |= 1 << j
                 alloc = _checked_allocation(scn, holder, held, prefix)
-                assert alloc.value(scn) == pytest.approx(
+                assert allocation_value(scn, alloc) == pytest.approx(
                     matching.optimal_value_only(scn, prefix), rel=1e-12, abs=1e-12)
                 steps += 1
             assert (hits, searches) == (want_hits, want_searches), inst
@@ -322,5 +329,5 @@ def test_add_agents_over_a_long_sequence():
     for j, gain in zip(perm, gains):
         assert gain.hex() == reference_add_agent(scn, ref_holder, ref_held, j).hex(), j
     alloc = _checked_allocation(scn, holder, held, comp)
-    assert alloc.value(scn) == pytest.approx(
+    assert allocation_value(scn, alloc) == pytest.approx(
         matching.optimal_value_only(scn, comp), rel=1e-12, abs=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 import shapalloc as sa
 
-from conftest import random_scenario
+from conftest import char_value_marginal, random_scenario
 from oracles import brute_force_opt
 
 
@@ -69,8 +69,8 @@ class TestMarginals:
         i_a1 = ref_game.agent_index["a1"]
         i_a3 = ref_game.agent_index["a3"]
         c23 = ref_game.mask_of(["a2", "a3"])
-        assert sa.marginal_contribution(ref_game, i_a1, c23) == 2.0
-        assert sa.marginal_contribution(ref_game, i_a3, 0) == 1.0
+        assert sa.marginal_restricted(ref_game, i_a1, c23) == 2.0
+        assert sa.marginal_restricted(ref_game, i_a3, 0) == 1.0
 
     def test_empty_interest_agent_contributes_nothing(self):
         scn = sa.AllocationScenario(
@@ -81,11 +81,12 @@ class TestMarginals:
         )
         iy = scn.agent_index["y"]
         for c in (0, scn.mask_of(["x"])):
-            assert sa.marginal_contribution(scn, iy, c) == 0.0
+            assert sa.marginal_restricted(scn, iy, c) == 0.0
+            assert char_value_marginal(scn, iy, c) == 0.0
 
     def test_member_rejected(self, ref_game):
         with pytest.raises(sa.ScenarioError):
-            sa.marginal_contribution(ref_game, 0, ref_game.mask_of(["a1"]))
+            sa.marginal_restricted(ref_game, 0, ref_game.mask_of(["a1"]))
 
     def test_anti_monotone_marginals(self):
         scn = random_scenario(123, n=7)
@@ -95,7 +96,7 @@ class TestMarginals:
             margs = {}
             m = 0
             while True:  # all subsets of the other agents
-                margs[m] = sa.marginal_contribution(scn, i, m)
+                margs[m] = sa.marginal_restricted(scn, i, m)
                 if m == others:
                     break
                 m = (m - others) & others
@@ -108,7 +109,7 @@ class TestMarginals:
 
     def test_restricted_marginal_agrees(self):
         def check(scn, i, c):
-            want = sa.marginal_contribution(scn, i, c)
+            want = char_value_marginal(scn, i, c)
             got = sa.marginal_restricted(scn, i, c)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (i, c)
 
@@ -144,11 +145,9 @@ class TestMarginals:
             for pos, b in enumerate(members):
                 if keep[pos] and b != agent:
                     c |= 1 << b
-            want = sa.char_value(scn, c | 1 << agent) - sa.char_value(scn, c)
+            want = char_value_marginal(scn, agent, c)
             got = sa.marginal_restricted(scn, agent, c)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
-            assert sa.marginal_contribution(scn, agent, c) == pytest.approx(
-                want, rel=1e-9, abs=1e-12)
 
 
 class TestAgentsGraph:
@@ -156,19 +155,19 @@ class TestAgentsGraph:
         scn = sa.AllocationScenario(
             ["x", "y"], [("g", 1.0)], {"x": ["g"], "y": ["g"]}, k=1
         )
-        assert scn.graph.edges() == [(0, 1)]
+        assert scn.graph.neighbor_lists == ((1,), (0,))
 
     def test_disjoint_interests_give_edgeless_graph(self):
         scn = sa.AllocationScenario(
             ["x", "y"], [("g", 1.0), ("h", 2.0)], {"x": ["g"], "y": ["h"]}, k=1
         )
-        assert scn.graph.edges() == []
+        assert scn.graph.neighbor_lists == ((), ())
 
     def test_zero_value_good_creates_no_edge(self):
         scn = sa.AllocationScenario(
             ["x", "y"], [("g", 0.0)], {"x": ["g"], "y": ["g"]}, k=1
         )
-        assert scn.graph.edges() == []
+        assert scn.graph.neighbor_lists == ((), ())
 
     def test_triangle_matches_pairwise_check(self):
         scn = sa.AllocationScenario(
@@ -182,7 +181,7 @@ class TestAgentsGraph:
             for j in range(3):
                 if i == j:
                     continue
-                shared = set(scn.positive_goods(i)) & set(scn.positive_goods(j))
+                shared = set(scn.positive_interest[i]) & set(scn.positive_interest[j])
                 assert bool(graph.neighbor_masks[i] >> j & 1) == bool(shared)
 
     def test_random_adjacency_matches_intersection(self):
@@ -193,15 +192,16 @@ class TestAgentsGraph:
                 if i == j:
                     assert not graph.neighbor_masks[i] >> i & 1
                     continue
-                shared = set(scn.positive_goods(i)) & set(scn.positive_goods(j))
+                shared = set(scn.positive_interest[i]) & set(scn.positive_interest[j])
                 assert bool(graph.neighbor_masks[i] >> j & 1) == bool(shared)
             assert graph.neighbor_lists[i] == tuple(sa.iter_bits(graph.neighbor_masks[i]))
 
     def test_symmetry(self):
         scn = random_scenario(78, n=10)
         g = scn.graph
-        for i, j in g.edges():
-            assert g.neighbor_masks[j] >> i & 1
+        for i in range(scn.n):
+            for j in g.neighbor_lists[i]:
+                assert g.neighbor_masks[j] >> i & 1
 
 
 class TestScenarioValidation:

@@ -5,30 +5,41 @@ import pytest
 
 import shapalloc as sa
 from shapalloc import exact, matching, sampling
-from shapalloc.matching import Allocation
 
-from conftest import exact_values, random_scenario
-from oracles import brute_force_opt, permutation_walk, prefix_law_expectation
+from conftest import char_value_marginal, exact_values, random_scenario
+from oracles import (
+    allocation_value,
+    brute_force_opt,
+    permutation_walk,
+    prefix_law_expectation,
+    validate_allocation,
+)
 
 
-class TestComputeRanges:
+class TestRanges:
+    """Each agent's width opt({i}) - marg(i, N), as ``meta["ranges"]``."""
+
+    @staticmethod
+    def widths(scn):
+        cfg = sa.RangeSamplerConfig(epsilon=1.0, delta=0.5, seed=1)
+        return sa.range_sampler_shapley(scn, cfg=cfg).meta["ranges"]
+
     def test_reference_game_ranges(self, ref_game):
-        ranges = sa.compute_ranges(ref_game)
-        assert (ranges["a1"].solo, ranges["a1"].grand_marginal, ranges["a1"].width) == (3.0, 2.0, 1.0)
-        assert (ranges["a3"].solo, ranges["a3"].grand_marginal, ranges["a3"].width) == (1.0, 1.0, 0.0)
+        assert ref_game.solo_value.tolist() == [3.0, 3.0, 1.0]
+        assert matching.removal_marginals(ref_game, ref_game.full_mask) == {0: 2.0, 1: 2.0, 2: 1.0}
+        assert self.widths(ref_game) == {"a1": 1.0, "a2": 1.0, "a3": 0.0}
 
     def test_isolated_agent_has_zero_width(self):
         scn = sa.AllocationScenario(
             ["x", "y"], [("a", 2.0), ("b", 3.0)], {"x": ["a"], "y": ["b"]}, k=1
         )
-        ranges = sa.compute_ranges(scn)
-        assert ranges["x"].width == 0.0
-        assert ranges["y"].width == 0.0
+        assert self.widths(scn) == {"x": 0.0, "y": 0.0}
 
     def test_widths_are_never_negative(self):
         for seed in (401, 402):
-            ranges = sa.compute_ranges(random_scenario(seed, n=10))
-            assert all(r.width >= 0.0 for r in ranges.values())
+            widths = self.widths(random_scenario(seed, n=10))
+            assert len(widths) == 10
+            assert all(w >= 0.0 for w in widths.values())
 
 
 class TestSampleBound:
@@ -92,7 +103,7 @@ class TestRangeSampler:
                 expect = prefix_law_expectation(
                     scn.n,
                     i,
-                    lambda m: sa.marginal_contribution(scn, i, m),
+                    lambda m: char_value_marginal(scn, i, m),
                 )
                 assert expect == pytest.approx(exact[scn.agents[i]], rel=1e-9, abs=1e-9)
 
@@ -304,13 +315,13 @@ def test_permutation_walk_carries_the_prefix_optimum():
                 assert members == sorted(sa.iter_bits(prefix))
                 assert {g: a for g, a in enumerate(holder) if a >= 0} == {
                     g: a for a in members for g in held[a]}
-                alloc = Allocation({scn.agents[a]: frozenset(scn.good_ids[g] for g in held[a])
-                                    for a in members})
-                alloc.validate(scn, prefix)
+                alloc = {scn.agents[a]: frozenset(scn.good_ids[g] for g in held[a])
+                         for a in members}
+                validate_allocation(scn, alloc, prefix)
                 if prefix not in optimum:
                     optimum[prefix] = (brute_force_opt(scn, prefix) if n <= 7
                                        else sa.optimal_value_only(scn, prefix))
-                assert alloc.value(scn) == pytest.approx(optimum[prefix], rel=1e-12, abs=1e-12)
+                assert allocation_value(scn, alloc) == pytest.approx(optimum[prefix], rel=1e-12, abs=1e-12)
 
 
 def _job_walks(seed, stream, key, walks, n):
