@@ -5,7 +5,11 @@ per coalition: every mask m contributes +w(|m|-1) * v(m) to each member and
 -w(|m|) * v(m) to each non-member.  Each of the 2^n worths is then needed
 exactly once, masks can be partitioned into independent contiguous jobs, and
 merging per-job partial sums in mask order makes the result identical for
-any worker count.
+any worker count.  A job is an aligned block of 2^b masks, so each agent's
+member and non-member sums are strided numpy reductions over the job's
+weighted worths.  No BLAS routine runs: a dot product longer than a few
+thousand elements is split over BLAS threads, which would make the last
+bits depend on the BLAS thread count.
 
 ``worths`` values a whole range of masks at once, the same way
 ``model.char_value`` values one.  The permutation sampler's worth table
@@ -96,17 +100,36 @@ def worths(scenario: AllocationScenario, lo: int, hi: int, store: dict[int, floa
 
 
 def _exact_job(payload, job):
+    """Per-agent partial sums over one aligned block of masks.
+
+    The block ``lo..hi-1`` holds 2^b masks and ``lo`` is a multiple of
+    2^b, so bits b and up are the same for every mask in it: popcounts are
+    those of ``lo`` plus those of 0..2^b-1, an agent at bit i >= b is a
+    member of every mask or of none, and an agent at bit i < b is a member
+    exactly in the second of each pair of consecutive runs of 2^i masks.
+    Each sum is a numpy reduction, in a fixed order on one thread.
+    """
     scenario, w_member, w_outside, store = payload
     lo, hi = job
+    b = (hi - lo).bit_length() - 1
+    assert hi - lo == 1 << b and lo % (1 << b) == 0, f"unaligned job {lo}..{hi}"
     v = worths(scenario, lo, hi, store)
-    masks = np.arange(lo, hi, dtype=np.int64)
-    pc = np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+    pc = np.zeros(1, dtype=np.int64)
+    for _ in range(b):
+        pc = np.concatenate((pc, pc + 1))
+    pc += lo.bit_count()
+    d_in = v * w_member[pc]
+    d_out = v * w_outside[pc]
+    whole_in, whole_out = d_in.sum(), d_out.sum()
     partial = np.empty(scenario.n, dtype=np.float64)
     for i in range(scenario.n):
-        member = (masks >> i) & 1 == 1
-        partial[i] = float(v[member] @ w_member[pc[member]]) - float(
-            v[~member] @ w_outside[pc[~member]]
-        )
+        if i < b:
+            partial[i] = (d_in.reshape(-1, 2, 1 << i)[:, 1, :].sum()
+                          - d_out.reshape(-1, 2, 1 << i)[:, 0, :].sum())
+        elif lo >> i & 1:
+            partial[i] = whole_in
+        else:
+            partial[i] = -whole_out
     return partial
 
 
@@ -121,7 +144,9 @@ def exact_shapley(
     Refuses components larger than ``limit`` (2^n worths must be computed);
     use the bound or sampling solvers beyond that.  Results are independent
     of ``workers``: jobs are fixed mask ranges and their partial sums are
-    merged in range order.  ``workers`` below 1 raises ``ValueError``.
+    merged in range order.  They are independent of the BLAS thread count
+    too, since no BLAS routine runs.  ``workers`` below 1 raises
+    ``ValueError``.
     ``cache`` is inert: nothing is looked up in it or stored in it, and it
     stays so that callers passing it positionally keep working.
     """
@@ -138,8 +163,9 @@ def exact_shapley(
         return ShapleyReport(agents=[], meta={"method": "exact", "n": 0})
     w_member, w_outside = _weight_arrays(n)
     total = 1 << n
-    job_size = 1 << JOB_BITS
-    jobs = [(lo, min(lo + job_size, total)) for lo in range(0, total, job_size)]
+    # both powers of two, so every job is an aligned block
+    job_size = min(1 << JOB_BITS, total)
+    jobs = [(lo, lo + job_size) for lo in range(0, total, job_size)]
     store: dict[int, float] = {}
     results, work = _pool.run_jobs(
         _exact_job, jobs, (scenario, w_member, w_outside, store), workers=workers

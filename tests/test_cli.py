@@ -426,6 +426,24 @@ def test_only_the_cli_prints():
     assert calls == []
 
 
+BLAS_CALLS = {"dot", "vdot", "matmul", "inner", "einsum", "tensordot"}
+
+
+def test_no_blas_calls():
+    # solver sums must not depend on the BLAS thread count: OpenBLAS splits
+    # a long dot product over its threads, and the split changes the last
+    # bits, so the package sums with numpy reductions instead
+    calls = []
+    for path in sorted((SRC / "shapalloc").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                calls.append(f"{path.name}:{node.lineno} @")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in BLAS_CALLS):
+                calls.append(f"{path.name}:{node.lineno} {node.func.attr}")
+    assert calls == []
+
+
 def _annotation_names(node: ast.AST) -> set[str]:
     """Names inside an annotation, quoted ones included."""
     names = set()

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, ulp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +183,54 @@ class TestExactShapley:
         scn = random_scenario(241, n=7)
         rep = sa.exact_shapley(scn)
         assert abs(rep.meta["efficiency_gap"]) <= 1e-9 * max(1.0, rep.meta["grand_value"])
+
+    @pytest.mark.parametrize("job_bits", [14, 3])
+    def test_values_match_exact_arithmetic_within_a_few_ulps(self, monkeypatch, job_bits):
+        # the same sums in Fraction arithmetic, from the same worths and the
+        # unrounded weights; the member and non-member sums can cancel, so
+        # the error is measured in ulps of the sum of the terms' magnitudes
+        # (the worst seen is about 1 ulp).  Jobs of 8 masks put the agents
+        # at bits 3 and up outside every job's own bits
+        monkeypatch.setattr("shapalloc.exact.JOB_BITS", job_bits)
+        for seed in range(300, 340):
+            n = 1 + seed % 8
+            scn = random_scenario(seed, n=n, k=1 + seed % 3)
+            v = [Fraction(float(x)) for x in exact.worths(scn, 0, 1 << n, {})]
+            w = [Fraction(factorial(s) * factorial(n - s - 1), factorial(n)) for s in range(n)]
+            got = [r.value for r in sa.exact_shapley(scn).agents]
+            for i in range(n):
+                pairs = [
+                    (w[m.bit_count()], v[m | 1 << i], v[m])
+                    for m in range(1 << n) if not m >> i & 1
+                ]
+                want = sum(wt * (hi - lo) for wt, hi, lo in pairs)
+                scale = float(sum(wt * (abs(hi) + abs(lo)) for wt, hi, lo in pairs))
+                assert abs(Fraction(got[i]) - want) <= 4 * ulp(scale), (seed, i)
+
+    def test_values_independent_of_blas_thread_count(self):
+        # one connected 15-agent component, two jobs of 2^14 masks: at that
+        # length OpenBLAS would split a dot product over two threads
+        code = (
+            "import shapalloc as sa\n"
+            "from conftest import random_scenario\n"
+            "scn = random_scenario(4, n=15)\n"
+            "comps = sa.connected_components(scn.full_mask, scn.graph.neighbor_masks)\n"
+            "assert list(comps) == [scn.full_mask], comps\n"
+            "print(' '.join(r.value.hex() for r in sa.exact_shapley(scn).agents))\n"
+        )
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join((str(here.parent / "src"), str(here)))
+        out = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout.split())
+        assert len(out[0]) == 15
+        assert out[0] == out[1]
 
 
 def _worths_instances():

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import shapalloc as sa
 from shapalloc.cli import main
 
 from conftest import three_agent_game
+from test_acceptance import FUNNEL
 
 
 def test_solve_unknown_sampler_fails_before_any_work(monkeypatch):
@@ -127,3 +129,49 @@ def test_solve_timings_split_the_wall_time():
     assert all(t >= 0.0 for t in timings.values())
     assert timings["bounds"] > 0.0 and timings["sampler"] > 0.0
     assert sum(timings.values()) <= meta["wall_time"]
+
+
+def cluster_scenario(seed: int, clusters: int = 2, size: int = 24) -> sa.AllocationScenario:
+    """Disjoint clusters, each a random spanning tree of shared goods plus 3
+    extra shared goods, with a private good for about half the agents."""
+    rng = np.random.default_rng(seed)
+    goods, interest = [], {}
+
+    def add_good(owners):
+        goods.append((f"g{len(goods)}", float(rng.choice((0.1, 0.4, 0.7, 1.0)))))
+        for a in owners:
+            interest[a].append(goods[-1][0])
+
+    for c in range(clusters):
+        ids = [f"c{c}a{i}" for i in range(size)]
+        interest.update((a, []) for a in ids)
+        for t in range(1, size):
+            add_good((ids[int(rng.integers(t))], ids[t]))
+        for _ in range(3):
+            add_good(ids[j] for j in rng.choice(size, size=2, replace=False))
+        for j in np.nonzero(rng.random(size) < 0.5)[0]:
+            add_good((ids[j],))
+    return sa.AllocationScenario(list(interest), goods, interest, k=2)
+
+
+@pytest.mark.parametrize("law", ["cluster", "funnel"])
+def test_intervals_are_never_inverted(law):
+    # no rounding slack: lb <= ub holds exactly, collapsed intervals
+    # included, and solve's clamp keeps every value inside its interval
+    for seed in (1, 2, 3):
+        if law == "cluster":
+            scn = cluster_scenario(seed)
+            limit, policy = 8, dict(sampler="fpras", epsilon=0.8, delta=0.04)
+        else:
+            scn = sa.generate(**{**FUNNEL, "agents": 600, "seed": seed})
+            limit, policy = 12, dict(sampler="range", epsilon=0.3, delta=0.01)
+        sampled = [c for c in sa.run_pipeline(scn).components if c.n > limit]
+        assert sampled
+        for comp in sampled:
+            for rec in sa.shapley_bounds(comp).agents:
+                assert rec.lb <= rec.ub, (seed, rec)
+        rep = sa.solve(scn, exact_limit=limit, seed=seed, threads=1, **policy)
+        bounded = [r for r in rep.agents if r.lb is not None]
+        assert len(bounded) == sum(c.n for c in sampled)
+        for rec in bounded:
+            assert rec.lb <= rec.value <= rec.ub, (seed, rec)
