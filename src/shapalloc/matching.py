@@ -8,7 +8,8 @@ value, keeping each one that leaves the kept set independent, finds a
 maximum-value allocation (Edmonds 1971).  A good is kept when a
 breadth-first search finds an augmenting path from it: from the members
 interested in it, through goods held by full members to other members
-interested in those goods, up to a member holding fewer than ``k``.
+interested in those goods, up to a member holding fewer than ``k``;
+``remove_agent`` runs the same search (``_search``) and shift (``_shift``).
 
 Goods with value zero are never taken.  Goods are taken in one fixed order
 (value descending, ties by ascending good index) and a coalition's value is
@@ -82,6 +83,47 @@ def copy_allocation(
     return holder.copy(), [None if goods is None else goods.copy() for goods in held]
 
 
+def _search(claimers, members, k: int, sources):
+    """Breadth-first search from the goods ``sources`` to a member with room.
+
+    Members interested in a visited good are reached in ``claimers`` order,
+    skipping those whose ``members`` entry is None; a full member's goods
+    are queued in the order it holds them, so each good is visited once.
+    Returns the member with room (-1 if none), the visited good it takes,
+    each visited good's parent (the good its holder takes for it, -1 for a
+    source), the goods visited in order and the members reached.
+    """
+    parent = dict.fromkeys(sources, -1)
+    visited = list(sources)
+    seen: set[int] = set()
+    for g in visited:
+        for b in claimers[g]:
+            theirs = members[b]
+            if theirs is None or b in seen:
+                continue
+            seen.add(b)
+            if len(theirs) < k:
+                return b, g, parent, visited, seen
+            for g2 in theirs:
+                parent[g2] = g
+            visited.extend(theirs)
+    return -1, -1, parent, visited, seen
+
+
+def _shift(holder: list[int], held: list[list[int] | None], taker: int, g: int, parent) -> int:
+    """``taker`` takes ``g``, ``g``'s holder the good before it, and so on back
+    to a source, which is returned; its old holder is left to the caller."""
+    while True:
+        prev = parent[g]
+        h = holder[g]
+        holder[g] = taker
+        held[taker].append(g)
+        if prev == -1:
+            return g
+        held[h].remove(g)
+        taker, g = h, prev
+
+
 def _greedy(scenario: "AllocationScenario", coalition: Coalition):
     """``greedy``'s allocation, and its kept goods in the order taken."""
     global _SOLVE_CALLS
@@ -89,53 +131,30 @@ def _greedy(scenario: "AllocationScenario", coalition: Coalition):
     k = scenario.k
     claimers = scenario.good_claimers
     holder, held = empty_allocation(scenario)
-    load: dict[int, int] = {}  # goods held by each member still searched
     goods: set[int] = set()
     for a in mask_to_indices(coalition, scenario.n).tolist():
-        load[a] = 0
         held[a] = []
         goods.update(scenario.interest[a])
+    live = held.copy()  # held's lists, None for a member no search reaches
     kept = []
     for g in sorted(goods, key=scenario.good_rank.__getitem__):
         # the first interested member with room takes g; if all are full,
-        # search onward from them, breadth first
-        parent: dict[int, tuple[int, int] | None] = {}
-        end = -1
+        # search onward from them
         for a in claimers[g]:
-            if a in load:
-                if load[a] < k:
-                    end = a
-                    break
-                parent[a] = None
-        if end < 0:
-            queue = list(parent)
-            for a in queue:
-                if load[a] < k:
-                    end = a
-                    break
-                for g2 in held[a]:
-                    for b in claimers[g2]:
-                        if b in load and b not in parent:
-                            parent[b] = (a, g2)
-                            queue.append(b)
-            if end < 0:
+            theirs = live[a]
+            if theirs is not None and len(theirs) < k:
+                theirs.append(g)
+                holder[g] = a
+                break
+        else:
+            taker, got, parent, _, seen = _search(claimers, live, k, (g,))
+            if taker < 0:
                 # every member reached is full and reaches only full
                 # members, so no later augmenting path passes through them
-                for a in queue:
-                    del load[a]
+                for a in seen:
+                    live[a] = None
                 continue
-        load[end] += 1
-        b = end
-        step = parent.get(b)
-        while step is not None:
-            a, g2 = step
-            held[a].remove(g2)
-            held[b].append(g2)
-            holder[g2] = b
-            b = a
-            step = parent[b]
-        held[b].append(g)
-        holder[g] = b
+            _shift(holder, held, taker, got, parent)
         kept.append(g)
     return holder, held, kept
 
@@ -361,14 +380,14 @@ def remove_agent(
     ``i`` gives up one capacity unit at a time, and each changes the optimum
     by one alternating path (Leonard 1983): a member interested in one of
     ``i``'s goods takes it and gives up one of its own, and so on, until a
-    member with room takes a good (no loss) or a good is dropped.  A
-    breadth-first search from ``i``'s goods finds the cheapest such path: 0
-    if it reaches a member holding fewer than ``k`` goods, else the least
-    valuable good visited (the first in breadth-first order on ties).  The
-    losses are the unit gains ``add_agent`` finds when ``i`` comes back, so
-    they are summed in descending order to give ``marginal_gain(S - i, i)``
-    bit for bit.  Call ``add_agent`` afterwards to probe without keeping the
-    change.
+    member with room takes a good (no loss) or a good is dropped.  The
+    greedy's breadth-first search (``_search``), started from ``i``'s
+    goods, finds the cheapest such path: 0 if it reaches a member holding
+    fewer than ``k`` goods, else the least valuable good visited (the first
+    in breadth-first order on ties).  The losses are the unit gains
+    ``add_agent`` finds when ``i`` comes back, so they are summed in
+    descending order to give ``marginal_gain(S - i, i)`` bit for bit.  Call
+    ``add_agent`` afterwards to probe without keeping the change.
     """
     global _SEARCH_CALLS
     _SEARCH_CALLS += 1
@@ -378,33 +397,11 @@ def remove_agent(
     held[i] = None
     losses: list[float] = []
     while mine:
-        # parent[g] is the good that g's holder takes when it gives g up,
-        # -1 for i's own goods; every member is visited once, so every good
-        # is queued once
-        parent = {g: -1 for g in mine}
-        queue = list(mine)
-        seen: set[int] = set()
-        cheapest = queue[0]
-        taker = -1
-        for g in queue:
-            if values[g] < values[cheapest]:
-                cheapest = g
-            for b in claimers[g]:
-                if b in seen or held[b] is None:
-                    continue
-                seen.add(b)
-                theirs = held[b]
-                if len(theirs) < k:
-                    taker = b
-                    break
-                for g2 in theirs:
-                    parent[g2] = g
-                    queue.append(g2)
-            if taker >= 0:
-                break
+        taker, g, parent, visited, _ = _search(claimers, held, k, mine)
         if taker < 0:
-            # drop the cheapest good; its holder takes the good before it
-            g = cheapest
+            # drop the first cheapest good visited; its holder takes the
+            # good before it
+            g = min(visited, key=values.__getitem__)
             h = holder[g]
             holder[g] = -1
             losses.append(values[g])
@@ -413,18 +410,7 @@ def remove_agent(
                 continue
             held[h].remove(g)
             taker, g = h, parent[g]
-        # shift the chain back to i: taker takes g from its holder, who
-        # takes the good before g, and so on
-        while True:
-            prev = parent[g]
-            h = holder[g]
-            holder[g] = taker
-            held[taker].append(g)
-            if prev == -1:
-                mine.remove(g)
-                break
-            held[h].remove(g)
-            taker, g = h, prev
+        mine.remove(_shift(holder, held, taker, g, parent))
     return sum(sorted(losses, reverse=True), 0.0)
 
 

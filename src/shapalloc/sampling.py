@@ -98,7 +98,8 @@ class FprasConfig:
     Per run, ceil(n * (n-1) / (delta * epsilon^2)) marginal contributions are
     drawn; permutations are completed, so the realized count is the next
     multiple of n.  ``runs`` independent runs are combined by medians
-    (3 covers the default delta = 0.01 comfortably).
+    (3 covers the default delta = 0.01 comfortably).  An epsilon whose budget
+    is not finite, for two agents or later for n, raises ``ValueError``.
     """
 
     epsilon: float
@@ -115,9 +116,13 @@ class FprasConfig:
         _check_integer("runs", self.runs, 1)
         _check_integer("seed", self.seed, 0)
         _check_integer("workers", self.workers, 1)
+        self.contributions_per_run(2)
 
     def contributions_per_run(self, n: int) -> int:
-        return math.ceil(n * (n - 1) / (self.delta * self.epsilon**2))
+        try:
+            return math.ceil(n * (n - 1) / (self.delta * self.epsilon**2))
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"epsilon {self.epsilon}: no finite budget for {n} agents") from None
 
     def permutations_per_run(self, n: int) -> int:
         return max(1, math.ceil(self.contributions_per_run(n) / n))
@@ -304,14 +309,17 @@ def fpras_shapley(
 
 
 def hoeffding_sample_count(width: float, epsilon: float, delta_i: float) -> int:
-    """Hoeffding sample bound: ceil(ln(2/delta_i) * r^2 / (2 eps^2))."""
+    """Hoeffding sample bound ceil(ln(2/delta_i) * r^2 / (2 eps^2)); ValueError if not finite."""
     if width <= 0.0:
         return 0
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < delta_i < 1.0:
         raise ValueError("per-agent failure probability must be in (0, 1)")
-    return math.ceil(math.log(2.0 / delta_i) * width * width / (2.0 * epsilon * epsilon))
+    try:
+        return math.ceil(math.log(2.0 / delta_i) * width * width / (2.0 * epsilon * epsilon))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"epsilon {epsilon}: no finite sample budget") from None
 
 
 @dataclass
@@ -398,7 +406,12 @@ def range_sampler_shapley(
                     f"compute bounds first or use absolute mode"
                 )
             eps.append(cfg.epsilon * lb)
-    caps = [hoeffding_sample_count(w, e, delta_i) for w, e in zip(widths, eps)]
+    caps = []
+    for a, w, e in zip(scenario.agents, widths, eps):
+        try:
+            caps.append(hoeffding_sample_count(w, e, delta_i))
+        except ValueError as exc:
+            raise ValueError(f"agent {a!r}: {exc}") from None
 
     walks = max(caps)
     sums, _, walk_steps, walk_work = _run_batched(

@@ -5,10 +5,13 @@ search over agent choices (no matching solver), Shapley values by iterating
 all permutations, and profile masses by enumerating every coalition.  Keep
 these free of shapalloc solver calls so the checks stay two-sided.
 
-Two pieces are not naive but frozen: ``reference_add_agent`` is the
+Four pieces are not naive but frozen: ``reference_add_agent`` is the
 unbounded augmenting search that ``matching.add_agent`` replaced, kept as
-it was, and ``permutation_walk`` is the per-step walk the samplers used
-before their walk was inlined.  They read only scenario attributes.
+it was; ``reference_greedy`` and ``reference_remove_agent`` are
+``matching._greedy`` and ``matching.remove_agent`` as they were with a
+breadth-first search each, less their work counters; and
+``permutation_walk`` is the per-step walk the samplers used before their
+walk was inlined.  They read only scenario attributes.
 """
 
 from __future__ import annotations
@@ -267,6 +270,131 @@ def reference_add_agent(
         holder[g] = i
         mine.append(g)
     return total
+
+
+def reference_greedy(scenario, coalition: int):
+    """The greedy's ``(holder, held, kept)`` for a coalition, from its own
+    breadth-first search over members: ``holder`` and ``held`` are the
+    flat lists of ``matching``, ``kept`` the goods kept in the order taken.
+    """
+    k = scenario.k
+    claimers = scenario.good_claimers
+    holder, held = [-1] * len(scenario.good_ids), [None] * scenario.n
+    load: dict[int, int] = {}  # goods held by each member still searched
+    goods: set[int] = set()
+    for a in range(scenario.n):
+        if coalition >> a & 1:
+            load[a] = 0
+            held[a] = []
+            goods.update(scenario.interest[a])
+    kept = []
+    for g in sorted(goods, key=scenario.good_rank.__getitem__):
+        # the first interested member with room takes g; if all are full,
+        # search onward from them, breadth first
+        parent: dict[int, tuple[int, int] | None] = {}
+        end = -1
+        for a in claimers[g]:
+            if a in load:
+                if load[a] < k:
+                    end = a
+                    break
+                parent[a] = None
+        if end < 0:
+            queue = list(parent)
+            for a in queue:
+                if load[a] < k:
+                    end = a
+                    break
+                for g2 in held[a]:
+                    for b in claimers[g2]:
+                        if b in load and b not in parent:
+                            parent[b] = (a, g2)
+                            queue.append(b)
+            if end < 0:
+                # every member reached is full and reaches only full
+                # members, so no later augmenting path passes through them
+                for a in queue:
+                    del load[a]
+                continue
+        load[end] += 1
+        b = end
+        step = parent.get(b)
+        while step is not None:
+            a, g2 = step
+            held[a].remove(g2)
+            held[b].append(g2)
+            holder[g2] = b
+            b = a
+            step = parent[b]
+        held[b].append(g)
+        holder[g] = b
+        kept.append(g)
+    return holder, held, kept
+
+
+def reference_remove_agent(scenario, holder, held, i: int) -> float:
+    """Remove member ``i`` from an optimal allocation (the flat lists of
+    ``matching``) in place; return the loss v(S) - v(S - i).
+
+    Each capacity unit ``i`` gives up is re-placed by a breadth-first search
+    over goods from ``i``'s goods to a member with room; when none has room,
+    the first cheapest good visited is dropped.  The losses are summed in
+    descending order.
+    """
+    k = scenario.k
+    claimers, values = scenario.good_claimers, scenario.good_value_list
+    mine = held[i]
+    held[i] = None
+    losses: list[float] = []
+    while mine:
+        # parent[g] is the good that g's holder takes when it gives g up,
+        # -1 for i's own goods; every member is visited once, so every good
+        # is queued once
+        parent = {g: -1 for g in mine}
+        queue = list(mine)
+        seen: set[int] = set()
+        cheapest = queue[0]
+        taker = -1
+        for g in queue:
+            if values[g] < values[cheapest]:
+                cheapest = g
+            for b in claimers[g]:
+                if b in seen or held[b] is None:
+                    continue
+                seen.add(b)
+                theirs = held[b]
+                if len(theirs) < k:
+                    taker = b
+                    break
+                for g2 in theirs:
+                    parent[g2] = g
+                    queue.append(g2)
+            if taker >= 0:
+                break
+        if taker < 0:
+            # drop the cheapest good; its holder takes the good before it
+            g = cheapest
+            h = holder[g]
+            holder[g] = -1
+            losses.append(values[g])
+            if parent[g] == -1:
+                mine.remove(g)
+                continue
+            held[h].remove(g)
+            taker, g = h, parent[g]
+        # shift the chain back to i: taker takes g from its holder, who
+        # takes the good before g, and so on
+        while True:
+            prev = parent[g]
+            h = holder[g]
+            holder[g] = taker
+            held[taker].append(g)
+            if prev == -1:
+                mine.remove(g)
+                break
+            held[h].remove(g)
+            taker, g = h, prev
+    return sum(sorted(losses, reverse=True), 0.0)
 
 
 def permutation_walk(scenario, perm, holder, held, add=reference_add_agent):

@@ -172,6 +172,31 @@ def test_range_sample_non_finite_epsilon_fails_cleanly(ref_file, capsys, epsilon
 
 
 @pytest.mark.parametrize("command", [
+    ("fpras", "--epsilon", "1e-170"), ("fpras", "--epsilon", "1e-160"),
+    ("range-sample", "--epsilon", "1e-170"), ("range-sample", "--epsilon", "1e-160"),
+    ("solve", "--epsilon", "1e-170"),
+])
+def test_epsilon_without_a_finite_budget_fails_cleanly(ref_file, capsys, command):
+    # epsilon squared underflows to 0 (1e-170) or the budget overflows (1e-160)
+    assert run_cli(*command, "--scenario", ref_file, "--delta", "0.1", "--threads", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "epsilon" in err and "Traceback" not in err
+
+
+def test_relative_epsilon_without_a_finite_budget_fails_cleanly(tmp_path, capsys):
+    # agent x's lower bound, its grand marginal, is 1e-170, so its target
+    # 0.3e-170 squared underflows to 0
+    path = tmp_path / "tiny.json"
+    sa.save_scenario(sa.AllocationScenario(
+        ["x", "y"], [("g", 2e-170), ("h", 1e-170)], {"x": ["g", "h"], "y": ["g"]}, k=1
+    ), str(path))
+    assert run_cli("range-sample", "--scenario", str(path), "--epsilon", "0.3",
+                   "--delta", "0.1", "--mode", "rel", "--threads", "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: agent 'x': epsilon") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
     ("solve",), ("fpras", "--epsilon", "0.3", "--delta", "0.1"),
     ("range-sample", "--epsilon", "0.3", "--delta", "0.1"),
 ])

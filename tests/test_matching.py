@@ -10,6 +10,8 @@ from oracles import (
     brute_force_opt,
     greedy_disjoint_value,
     reference_add_agent,
+    reference_greedy,
+    reference_remove_agent,
     validate_allocation,
 )
 
@@ -331,3 +333,57 @@ def test_add_agents_over_a_long_sequence():
     alloc = _checked_allocation(scn, holder, held, comp)
     assert allocation_value(scn, alloc) == pytest.approx(
         matching.optimal_value_only(scn, comp), rel=1e-12, abs=1e-12)
+
+
+def _kernels_match_references(scn, coalitions, stats):
+    """The greedy and each member's removal, carried as ``removal_marginals``
+    carries them, against the frozen kernels: the same kept goods,
+    allocation lists (their order too) and loss floats, and one counter step
+    per greedy and per removal."""
+    for m in coalitions:
+        m0 = matching.solve_calls()
+        got = matching._greedy(scn, m)
+        assert matching.solve_calls() - m0 == 1
+        assert got == reference_greedy(scn, m), m
+        holder, held, kept = got
+        stats["dropped"] += len({g for a in sa.iter_bits(m) for g in scn.interest[a]}) - len(kept)
+        for i in sa.iter_bits(m):
+            ref_holder, ref_held = matching.copy_allocation(holder, held)
+            want = reference_remove_agent(scn, ref_holder, ref_held, i)
+            s0 = matching.search_calls()
+            loss = matching.remove_agent(scn, holder, held, i)
+            assert matching.search_calls() - s0 == 1
+            assert loss.hex() == want.hex(), (m, i)
+            assert (holder, held) == (ref_holder, ref_held), (m, i)
+            stats["lossy"] += loss > 0.0
+            stats["removals"] += 1
+            matching.add_agent(scn, holder, held, i)
+
+
+def test_greedy_and_remove_agent_match_the_frozen_kernels():
+    # every coalition of small tie-heavy instances, k = 1..3
+    stats = {"dropped": 0, "lossy": 0, "removals": 0}
+    for inst in range(36):
+        scn = sa.generate(agents=7, goods_per_agent=1.6, coauthor_prob=0.6, max_claimers=3,
+                          value_set=SEARCH_VALUE_SETS[inst % 4], k=1 + inst % 3,
+                          seed=2000 + inst)
+        _kernels_match_references(scn, range(1, 1 << scn.n), stats)
+    # goods the greedy could not keep, and removals that lost value
+    assert stats["dropped"] > 1000 and stats["lossy"] > 1000, stats
+
+
+def test_greedy_and_remove_agent_match_the_frozen_kernels_mid_size():
+    rng = np.random.default_rng(9)
+    stats = {"dropped": 0, "lossy": 0, "removals": 0}
+    for inst in range(6):
+        scn = sa.generate(agents=120, coauthor_prob=0.55, max_claimers=3,
+                          value_weights=(0.2, 0.2, 0.2, 0.2, 0.2), k=1 + inst % 3,
+                          seed=300 + inst)
+        comp = max(scn.graph.components(), key=int.bit_count)
+        assert comp.bit_count() > 20
+        members = list(sa.iter_bits(comp))
+        coalitions = [comp] + [
+            sum(1 << a for a in members if rng.random() < p) for p in (0.4, 0.7)
+        ]
+        _kernels_match_references(scn, coalitions, stats)
+    assert stats["dropped"] > 0 and stats["lossy"] > 0, stats

@@ -60,6 +60,12 @@ class TestSampleBound:
         with pytest.raises(ValueError):
             sa.hoeffding_sample_count(1.0, 0.1, 0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.nan, 1e-170, 1e-160])
+    def test_epsilon_without_a_finite_budget_rejected(self, epsilon):
+        # 1e-170 squared underflows to 0 and 1e-160's budget overflows
+        with pytest.raises(ValueError, match="epsilon"):
+            sa.hoeffding_sample_count(1.0, epsilon, 0.01)
+
     def test_scales_with_range_squared(self):
         base = sa.hoeffding_sample_count(1.0, 0.1, 0.01)
         assert sa.hoeffding_sample_count(2.0, 0.1, 0.01) == math.ceil(
@@ -189,6 +195,18 @@ class TestFpras:
                 got = sampling._run_median(estimates)
                 want = np.median(estimates, axis=0)
                 assert [x.hex() for x in got] == [x.hex() for x in want], runs
+
+    @pytest.mark.parametrize("epsilon", [1e-170, 1e-160])
+    def test_epsilon_without_a_finite_budget_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            sa.FprasConfig(epsilon=epsilon, delta=0.1)
+
+    def test_budget_too_large_for_a_component_rejected(self):
+        # finite for two agents, not for a million
+        cfg = sa.FprasConfig(epsilon=1e-150, delta=0.5)
+        assert cfg.contributions_per_run(2) == math.ceil(2 / (0.5 * 1e-150**2))
+        with pytest.raises(ValueError, match="epsilon"):
+            cfg.contributions_per_run(10**6)
 
     def test_contribution_budget_formula(self):
         cfg = sa.FprasConfig(epsilon=0.3, delta=0.01)
