@@ -28,7 +28,7 @@ for ids in (["a1"], ["a2"], ["a3"], ["a1", "a2"], ["a1", "a3"], ["a2", "a3"],
 
 allocation, value = sa.optimal_allocation(scenario, scenario.full_mask)
 print("\none optimal grand-coalition allocation, total", value)
-for agent, goods in allocation.assignment.items():
+for agent, goods in allocation.items():
     print(f"  {agent} <- {sorted(goods) or '(nothing)'}")
 
 print("\nagents graph adjacency (shared positive goods):")

@@ -26,11 +26,7 @@ from .model import (
     mask_from_indices,
     save_scenario,
 )
-from .matching import (
-    Allocation,
-    optimal_allocation,
-    optimal_value_only,
-)
+from .matching import optimal_allocation, optimal_value_only
 from .preprocess import (
     PreprocessReport,
     drop_empty_agents,
@@ -41,7 +37,7 @@ from .preprocess import (
     strip_null_goods,
 )
 from .exact import ComponentTooLarge, exact_shapley, shapley_weight
-from .bounds import profile_weight, shapley_bounds
+from .bounds import shapley_bounds
 from .sampling import (
     FprasConfig,
     RangeSamplerConfig,
@@ -56,7 +52,6 @@ from .pipeline import solve
 __all__ = [
     "AgentResult",
     "AgentsGraph",
-    "Allocation",
     "AllocationScenario",
     "CharacteristicCache",
     "Coalition",
@@ -83,7 +78,6 @@ __all__ = [
     "merge_reports",
     "optimal_allocation",
     "optimal_value_only",
-    "profile_weight",
     "prune_useless_goods",
     "range_sampler_shapley",
     "run_pipeline",

@@ -5,7 +5,10 @@ coalitions C' not containing i are grouped by their profile P' = C' & neigh(i).
 For each profile the marginal of i is evaluated at the two extremes of the
 class -- with all non-neighbors present (lower bound, by anti-monotonicity)
 or with only P' present (upper bound) -- and weighted by the total Shapley
-mass y of the class.
+mass y of the class: the chance that, in a uniform order of i and its deg
+neighbors, exactly the |P'| present ones precede i, whatever the
+non-neighbors do.  That is |P'|! (deg - |P'|)! / (deg + 1)!, the Shapley
+weight ``shapley_weight(|P'|, deg + 1)`` of the game of i and its neighbors.
 
 One greedy gives an optimal allocation of the whole game, and every job
 starts from a copy of it (``matching.copy_allocation``; the allocation's
@@ -28,34 +31,14 @@ looked up in a cache.
 from __future__ import annotations
 
 import time
-from math import factorial
 
 from . import _pool
+from .exact import shapley_weight
 from .matching import add_agent, copy_allocation, empty_allocation, greedy, remove_agent
 from .model import AllocationScenario, CharacteristicCache, iter_bits
 from .report import AgentResult, ShapleyReport
 
 DEFAULT_MAX_NEIGH = 19
-
-
-def profile_weight(l: int, p: int, z: int, n: int) -> float:
-    """Total Shapley weight of all coalitions sharing one neighbor profile.
-
-    ``l`` non-neighbors are free to join or not; ``p`` neighbors are in,
-    ``z`` neighbors are out, and l + p + z + 1 = n.  The weight is the
-    chance that, among i and its neighbors in a uniform order, exactly the
-    ``p`` present neighbors come before i,
-
-        y = p! z! / (p + z + 1)!,
-
-    whatever the non-neighbors do, so ``l`` and ``n`` drop out.  Integer
-    arithmetic, rounded once by the division.
-    """
-    if min(l, p, z) < 0:
-        raise ValueError("profile sizes must be non-negative")
-    if l + p + z + 1 != n:
-        raise ValueError(f"inconsistent profile sizes: {l}+{p}+{z}+1 != {n}")
-    return factorial(p) * factorial(z) / factorial(p + z + 1)
 
 
 def gray_subsets(items: list[int]):
@@ -83,10 +66,8 @@ def _bounds_job(payload, job):
     if deg > max_neigh:
         return i, grand_marginal, solo, True
 
-    n = scenario.n
-    l = n - deg - 1
     neighbors = list(iter_bits(neigh_mask))
-    y_by_size = [profile_weight(l, p, deg - p, n) for p in range(deg + 1)]
+    y_by_size = [shapley_weight(p, deg + 1) for p in range(deg + 1)]
 
     # optimal allocations of rest | P and of P
     for j in neighbors:
@@ -142,7 +123,7 @@ def shapley_bounds(
     indices = list(iter_bits(mask))
     grand, base = _pool.counted(greedy, scenario, scenario.full_mask)
     results, work = _pool.run_jobs(
-        _bounds_job, indices, (scenario, max_neigh, grand), workers=workers
+        _bounds_job, indices, (scenario, max_neigh, grand[:2]), workers=workers
     )
     work["matchings"] += base["matchings"]
     records = []

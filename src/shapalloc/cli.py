@@ -86,7 +86,7 @@ def cmd_opt(args) -> int:
     alloc, value = optimal_allocation(scn, scn.full_mask)
     data = {"value": value}
     if args.allocation:
-        data["allocation"] = {a: sorted(g) for a, g in alloc.assignment.items()}
+        data["allocation"] = {a: sorted(g) for a, g in alloc.items()}
     _emit(data, args.out)
     return 0
 

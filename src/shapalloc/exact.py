@@ -141,11 +141,12 @@ def exact_shapley(
 ) -> ShapleyReport:
     """Exact Shapley values of every agent, by full coalition enumeration.
 
-    Refuses components larger than ``limit`` (2^n worths must be computed);
-    use the bound or sampling solvers beyond that.  Results are independent
-    of ``workers``: jobs are fixed mask ranges and their partial sums are
-    merged in range order.  They are independent of the BLAS thread count
-    too, since no BLAS routine runs.  ``workers`` below 1 raises
+    Refuses components larger than ``limit`` (2^n worths must be computed),
+    or than 62 agents whatever ``limit`` says, since masks are 64-bit
+    integers; use the bound or sampling solvers beyond that.  Results are
+    independent of ``workers``: jobs are fixed mask ranges and their partial
+    sums are merged in range order.  They are independent of the BLAS thread
+    count too, since no BLAS routine runs.  ``workers`` below 1 raises
     ``ValueError``.
     ``cache`` is inert: nothing is looked up in it or stored in it, and it
     stays so that callers passing it positionally keep working.
@@ -153,6 +154,11 @@ def exact_shapley(
     n = scenario.n
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if n > 62:
+        raise ComponentTooLarge(
+            f"component has {n} agents; exact enumeration holds masks in 64-bit "
+            f"integers, so it is limited to 62 agents whatever the limit"
+        )
     if n > limit:
         raise ComponentTooLarge(
             f"component has {n} agents; exact enumeration is limited to {limit} "

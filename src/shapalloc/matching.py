@@ -11,7 +11,8 @@ interested in it, through goods held by full members to other members
 interested in those goods, up to a member holding fewer than ``k``;
 ``remove_agent`` runs the same search (``_search``) and shift (``_shift``).
 
-Goods with value zero are never taken.  Goods are taken in one fixed order
+Goods with value zero are never taken: the greedy scans only its members'
+``scenario.ranked_interest``.  Goods are taken in one fixed order
 (value descending, ties by ascending good index) and a coalition's value is
 the sum of its kept goods in ascending good index, so it is a deterministic
 function of the scenario and the coalition.  Every solver in the package
@@ -21,7 +22,9 @@ An allocation is carried as two flat lists, and only this module reads or
 writes them: ``holder`` has one slot per good, the agent holding it or -1
 when it is free, and ``held`` one slot per agent, the list of its goods or
 ``None`` when the agent is not in the coalition.  ``empty_allocation`` and
-``copy_allocation`` make them; ``greedy`` returns one for a coalition.
+``copy_allocation`` make them; ``greedy`` returns one for a coalition,
+with the goods it kept in the order taken.  ``optimal_allocation`` gives
+the same allocation by ids, ``{agent id: frozenset of good ids}``.
 
 ``add_agents`` extends an optimal allocation by a sequence of agents, each
 with at most ``k`` augmenting searches, and ``remove_agent`` is its mirror:
@@ -44,12 +47,11 @@ carries two optima through its subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import Coalition, ScenarioError, mask_to_indices
+from .model import Coalition, ScenarioError, iter_bits
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import AllocationScenario
@@ -124,17 +126,20 @@ def _shift(holder: list[int], held: list[list[int] | None], taker: int, g: int, 
         taker, g = h, prev
 
 
-def _greedy(scenario: "AllocationScenario", coalition: Coalition):
-    """``greedy``'s allocation, and its kept goods in the order taken."""
+def greedy(
+    scenario: "AllocationScenario", coalition: Coalition
+) -> tuple[list[int], list[list[int] | None], list[int]]:
+    """An optimal allocation for the coalition, as ``(holder, held, kept)``:
+    ``kept`` lists its goods in the order the greedy took them."""
     global _SOLVE_CALLS
     _SOLVE_CALLS += 1
     k = scenario.k
     claimers = scenario.good_claimers
     holder, held = empty_allocation(scenario)
     goods: set[int] = set()
-    for a in mask_to_indices(coalition, scenario.n).tolist():
+    for a in iter_bits(coalition):
         held[a] = []
-        goods.update(scenario.interest[a])
+        goods.update(scenario.ranked_interest[a])
     live = held.copy()  # held's lists, None for a member no search reaches
     kept = []
     for g in sorted(goods, key=scenario.good_rank.__getitem__):
@@ -159,13 +164,6 @@ def _greedy(scenario: "AllocationScenario", coalition: Coalition):
     return holder, held, kept
 
 
-def greedy(
-    scenario: "AllocationScenario", coalition: Coalition
-) -> tuple[list[int], list[list[int] | None]]:
-    """An optimal allocation for the coalition, as ``(holder, held)``."""
-    return _greedy(scenario, coalition)[:2]
-
-
 def _value(scenario: "AllocationScenario", kept: list[int]) -> float:
     """Total value of the kept goods, summed in ascending good index."""
     if not kept:
@@ -184,14 +182,7 @@ def optimal_value_only(scenario: "AllocationScenario", coalition: Coalition) -> 
         return 0.0
     if coalition & (coalition - 1) == 0:
         return float(scenario.solo_value[coalition.bit_length() - 1])
-    return _value(scenario, _greedy(scenario, coalition)[2])
-
-
-@dataclass
-class Allocation:
-    """A feasible assignment of goods to the agents of one coalition."""
-
-    assignment: dict[str, frozenset[str]]
+    return _value(scenario, greedy(scenario, coalition)[2])
 
 
 def add_agents(
@@ -424,9 +415,9 @@ def removal_marginals(scenario: "AllocationScenario", coalition: Coalition) -> d
     coalition - i)``.
     """
     neigh = scenario.graph.neighbor_masks
-    holder, held = greedy(scenario, coalition)
+    holder, held, _ = greedy(scenario, coalition)
     out: dict[int, float] = {}
-    for i in mask_to_indices(coalition, scenario.n).tolist():
+    for i in iter_bits(coalition):
         if neigh[i] & coalition == 0:
             out[i] = float(scenario.solo_value[i])
             continue
@@ -445,18 +436,19 @@ def marginal_gain(scenario: "AllocationScenario", coalition: Coalition, i: int) 
     """
     if coalition & (1 << i):
         raise ScenarioError(f"agent index {i} already belongs to the coalition")
-    if not scenario.positive_interest[i]:
+    if not scenario.ranked_interest[i]:
         return 0.0
-    holder, held = greedy(scenario, coalition)
+    holder, held, _ = greedy(scenario, coalition)
     return add_agent(scenario, holder, held, i)
 
 
 def optimal_allocation(
     scenario: "AllocationScenario", coalition: Coalition
-) -> tuple[Allocation, float]:
-    """An optimal feasible allocation for the coalition, with its value."""
+) -> tuple[dict[str, frozenset[str]], float]:
+    """An optimal feasible allocation for the coalition, as ``{agent id:
+    frozenset of good ids}``, with its value."""
     if coalition == 0:
-        return Allocation(assignment={}), 0.0
+        return {}, 0.0
     assignment: dict[str, set[str]] = {a: set() for a in scenario.ids_of(coalition)}
     if coalition & (coalition - 1) == 0:
         i = coalition.bit_length() - 1
@@ -464,11 +456,8 @@ def optimal_allocation(
             assignment[scenario.agents[i]].add(scenario.good_ids[j])
         value = float(scenario.solo_value[i])
     else:
-        holder, _, kept = _greedy(scenario, coalition)
+        holder, _, kept = greedy(scenario, coalition)
         for g in kept:
             assignment[scenario.agents[holder[g]]].add(scenario.good_ids[g])
         value = _value(scenario, kept)
-    return (
-        Allocation(assignment={a: frozenset(g) for a, g in assignment.items()}),
-        value,
-    )
+    return {a: frozenset(g) for a, g in assignment.items()}, value

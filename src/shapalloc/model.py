@@ -9,7 +9,7 @@ feasible allocation restricted to its members.
 Coalitions are plain ``int`` bitmasks over the scenario's canonical agent
 order (bit ``i`` set means agent ``i`` is in).  Python integers act as
 arbitrarily wide bitsets, so the same representation covers components of
-any size.
+any size; ``iter_bits`` lists a mask's members in ascending order.
 """
 
 from __future__ import annotations
@@ -81,34 +81,31 @@ class AllocationScenario:
             self._interest_row(a, interest.get(a, ())) for a in self.agents
         )
 
-        # Positive-value goods drive both matching and the agents graph.
-        values = self.good_value_list
-        self.positive_interest: tuple[tuple[int, ...], ...] = tuple(
-            tuple(j for j in row if values[j] > 0.0) for row in self.interest
-        )
-        # Agents interested in each positive-value good, ascending (empty for
-        # zero-value goods), and each good's position in the order the
-        # matching greedy takes goods: value descending, ties by good index.
-        claimers: list[list[int]] = [[] for _ in self.good_ids]
-        for i, pos in enumerate(self.positive_interest):
-            for j in pos:
-                claimers[j].append(i)
-        self.good_claimers: tuple[tuple[int, ...], ...] = tuple(map(tuple, claimers))
+        # Each good's position in the order the matching greedy takes goods:
+        # value descending, ties by good index.
         n_goods = len(self.good_ids)
         order = np.lexsort((np.arange(n_goods), -self.good_values))
         rank = np.empty(n_goods, dtype=np.intp)
         rank[order] = np.arange(n_goods)
         self.good_rank: list[int] = rank.tolist()
 
-        # Each agent's positive-value goods in the greedy's order, which
-        # ``matching.add_agent`` scans best first.  The first `k` are the
-        # best goods the agent can get alone, whose sum is the canonical
-        # singleton worth used by every solver, so the float is computed
-        # once here.
+        # Positive-value goods drive both matching and the agents graph.
+        # Each agent's, in the greedy's order, which ``matching.add_agent``
+        # scans best first.  The first `k` are the best goods the agent can
+        # get alone, whose sum is the canonical singleton worth used by
+        # every solver, so the float is computed once here.
+        values = self.good_value_list
         self.ranked_interest: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(pos, key=self.good_rank.__getitem__))
-            for pos in self.positive_interest
+            tuple(sorted((j for j in row if values[j] > 0.0), key=self.good_rank.__getitem__))
+            for row in self.interest
         )
+        # Agents interested in each positive-value good, ascending (empty for
+        # zero-value goods).
+        claimers: list[list[int]] = [[] for _ in self.good_ids]
+        for i, ranked in enumerate(self.ranked_interest):
+            for j in ranked:
+                claimers[j].append(i)
+        self.good_claimers: tuple[tuple[int, ...], ...] = tuple(map(tuple, claimers))
         solo = np.zeros(len(self.agents), dtype=np.float64)
         for i, ranked in enumerate(self.ranked_interest):
             if ranked:
@@ -187,11 +184,6 @@ class AllocationScenario:
         }
         return AllocationScenario(agents, goods, interest, self.k)
 
-    def with_interest(self, interest: Mapping[str, Iterable[str]]) -> "AllocationScenario":
-        """Same agents/goods/k with a replacement interest map."""
-        goods = list(zip(self.good_ids, (float(v) for v in self.good_values)))
-        return AllocationScenario(self.agents, goods, interest, self.k)
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -266,13 +258,6 @@ def mask_from_indices(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << int(i)
     return m
-
-
-def mask_to_indices(mask: int, n: int) -> np.ndarray:
-    """Set bit positions of ``mask`` as an array, ascending."""
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.nonzero(np.unpackbits(raw, bitorder="little", count=n))[0]
 
 
 # -- agents graph -------------------------------------------------------------

@@ -198,13 +198,11 @@ def prune_useless_goods(
         new_interest[a] = keep
     if not pruned:
         return scenario, []
-    return scenario.with_interest(new_interest), pruned
+    goods = list(zip(scenario.good_ids, scenario.good_value_list))
+    return AllocationScenario(scenario.agents, goods, new_interest, scenario.k), pruned
 
 
-def run_pipeline(
-    scenario: AllocationScenario,
-    tol: float = REL_TOL,
-) -> PreprocessReport:
+def run_pipeline(scenario: AllocationScenario) -> PreprocessReport:
     """Full simplification pass; deterministic for a given scenario."""
     t0 = time.perf_counter()
     stage: dict[str, int] = {}
@@ -217,11 +215,11 @@ def run_pipeline(
     null_removed = before_goods - len(s.good_ids)
     stage["null_goods_removed"] = null_removed
 
-    resolved, s = separate_singletons(s, tol=tol)
+    resolved, s = separate_singletons(s)
     stage["separable_agents_resolved"] = len(resolved)
     stage["components_after_split"] = len(s.graph.components())
 
-    s, pruned = prune_useless_goods(s, tol=tol)
+    s, pruned = prune_useless_goods(s)
     stage["useless_pairs_pruned"] = len(pruned)
     final_components = split_components(s) if s.n else []
     stage["final_components"] = len(final_components)

@@ -8,7 +8,7 @@ these free of shapalloc solver calls so the checks stay two-sided.
 Four pieces are not naive but frozen: ``reference_add_agent`` is the
 unbounded augmenting search that ``matching.add_agent`` replaced, kept as
 it was; ``reference_greedy`` and ``reference_remove_agent`` are
-``matching._greedy`` and ``matching.remove_agent`` as they were with a
+``matching.greedy`` and ``matching.remove_agent`` as they were with a
 breadth-first search each, less their work counters; and
 ``permutation_walk`` is the per-step walk the samplers used before their
 walk was inlined.  They read only scenario attributes.
@@ -220,7 +220,8 @@ def reference_add_agent(
     most valuable reachable free good.  Gains are non-increasing, so the
     greedy sum over at most k units is exact (Edmonds 1971).
     """
-    positive, values = scenario.positive_interest, scenario.good_value_list
+    positive = [tuple(sorted(row)) for row in scenario.ranked_interest]
+    values = scenario.good_value_list
     own = positive[i]
     mine = held[i] = []
     total = 0.0

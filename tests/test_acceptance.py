@@ -125,7 +125,6 @@ def test_criterion_3_bounds_contain_exact_values():
     collapsed_checked = 0
     for scn, cache, exact, _ in _suite200():
         intervals = sa.shapley_bounds(scn, cache)
-        n = scn.n
         for rec in intervals.agents:
             sv = exact[rec.agent]
             assert rec.lb <= sv + REL * max(1.0, abs(sv))
@@ -135,9 +134,8 @@ def test_criterion_3_bounds_contain_exact_values():
                 assert rec.lb == pytest.approx(sv, rel=REL, abs=REL)
             i = scn.agent_index[rec.agent]
             deg = len(scn.graph.neighbor_lists[i])
-            l = n - deg - 1
             total = sum(
-                sa.profile_weight(l, p, deg - p, n) * math.comb(deg, p)
+                sa.shapley_weight(p, deg + 1) * math.comb(deg, p)
                 for p in range(deg + 1)
             )
             assert total == pytest.approx(1.0, abs=1e-12)

@@ -21,14 +21,15 @@ def clique_scenario(n: int, seed: int = 0) -> sa.AllocationScenario:
 
 
 class TestProfileWeight:
+    # the weight of the profiles with p of i's deg neighbors present is the
+    # Shapley weight of the game of i and its neighbors, whatever n is
     def test_no_neighbors_single_profile_carries_all_weight(self):
-        for n in (2, 5, 9):
-            assert sa.profile_weight(n - 1, 0, 0, n) == pytest.approx(1.0, rel=1e-12)
+        assert sa.shapley_weight(0, 1) == pytest.approx(1.0, rel=1e-12)
 
     def test_three_agents_one_neighbor_by_hand(self):
         # profiles {} and {j} each cover half the weight
-        assert sa.profile_weight(1, 0, 1, 3) == pytest.approx(0.5, rel=1e-12)
-        assert sa.profile_weight(1, 1, 0, 3) == pytest.approx(0.5, rel=1e-12)
+        assert sa.shapley_weight(0, 2) == pytest.approx(0.5, rel=1e-12)
+        assert sa.shapley_weight(1, 2) == pytest.approx(0.5, rel=1e-12)
 
     def test_matches_explicit_coalition_enumeration(self):
         rng = np.random.default_rng(0)
@@ -41,8 +42,7 @@ class TestProfileWeight:
                 p_size = int(rng.integers(0, deg + 1)) if deg else 0
                 profile = set(list(neigh)[:p_size])
                 expect = profile_mass_explicit(n, i, neigh, profile)
-                l = n - deg - 1
-                got = sa.profile_weight(l, len(profile), deg - len(profile), n)
+                got = sa.shapley_weight(len(profile), deg + 1)
                 assert got == pytest.approx(expect, rel=1e-12)
 
     def test_partition_of_unity_on_random_graphs(self):
@@ -51,21 +51,11 @@ class TestProfileWeight:
             n = scn.n
             for i in range(n):
                 deg = len(scn.graph.neighbor_lists[i])
-                l = n - deg - 1
-                total = sum(
-                    sa.profile_weight(l, p, deg - p, n) * _comb(deg, p)
-                    for p in range(deg + 1)
-                )
+                total = sum(sa.shapley_weight(p, deg + 1) * _comb(deg, p) for p in range(deg + 1))
                 assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_inconsistent_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            sa.profile_weight(2, 1, 1, 4)
-        with pytest.raises(ValueError):
-            sa.profile_weight(-1, 1, 1, 2)
-
     def test_large_population_weight_is_finite_and_tiny(self):
-        y = sa.profile_weight(600, 3, 2, 606)
+        y = sa.shapley_weight(3, 3 + 2 + 1)
         assert 0.0 < y < 1.0
 
     def test_closed_form_equals_the_sum_bit_for_bit(self):
@@ -76,8 +66,9 @@ class TestProfileWeight:
             for z in range(min(n - p, 27 - p))
         ]
         cases += [(n - p - z - 1, p, z, n) for n in (100, 606) for p in range(0, 27, 5) for z in range(0, 27 - p, 4)]
-        for case in cases:
-            assert sa.profile_weight(*case).hex() == profile_weight_sum(*case).hex(), case
+        for l, p, z, n in cases:
+            got = sa.shapley_weight(p, p + z + 1)
+            assert got.hex() == profile_weight_sum(l, p, z, n).hex(), (l, p, z, n)
 
 
 def _comb(n, k):
@@ -168,7 +159,7 @@ class TestShapleyBounds:
         # the sweep as one marginal_restricted per side and subset: the
         # carried optima must give the same (lb, ub) bit for bit
         def per_subset(scn, i, max_neigh):
-            neigh, n = scn.graph.neighbor_masks[i], scn.n
+            neigh = scn.graph.neighbor_masks[i]
             deg = neigh.bit_count()
             others = scn.full_mask & ~(1 << i)
             if deg > max_neigh:
@@ -176,7 +167,7 @@ class TestShapleyBounds:
             rest = others & ~neigh
             lb = ub = 0.0
             for p in gray_subsets(list(sa.iter_bits(neigh))):
-                y = sa.profile_weight(n - deg - 1, p.bit_count(), deg - p.bit_count(), n)
+                y = sa.shapley_weight(p.bit_count(), deg + 1)
                 ub += y * sa.marginal_restricted(scn, i, p)
                 lb += y * sa.marginal_restricted(scn, i, rest | p)
             return lb, ub

@@ -11,6 +11,7 @@ import shapalloc as sa
 from shapalloc.cli import build_parser, main
 
 from conftest import three_agent_game
+from test_acceptance import FUNNEL
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -82,6 +83,25 @@ def test_exact_subcommand(ref_file, tmp_path):
 
 def test_exact_limit_flag(ref_file, tmp_path):
     assert run_cli("exact", "--scenario", ref_file, "--limit", "2") == 2
+
+
+def test_components_over_62_agents_fail_cleanly(tmp_path, capsys):
+    # exact enumeration's masks are 64-bit: exact and solve refuse such a
+    # component at once, whatever the limit, instead of enumerating it
+    agents = [f"a{i}" for i in range(63)]
+    path = tmp_path / "clique63.json"
+    sa.save_scenario(sa.AllocationScenario(
+        agents, [("g", 1.0)], {a: ["g"] for a in agents}, k=1), str(path))
+    assert run_cli("exact", "--scenario", str(path), "--limit", "100", "--threads", "1") == 2
+    assert "error:" in capsys.readouterr().err
+    # the third residual component of this draw has 90 agents, the two
+    # before it fewer than 10
+    path = tmp_path / "funnel600.json"
+    sa.save_scenario(sa.generate(**{**FUNNEL, "agents": 600, "seed": 1}), str(path))
+    assert run_cli("solve", "--scenario", str(path), "--exact-limit", "100",
+                   "--threads", "1", "--out", str(tmp_path / "rep.json")) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "90 agents" in err
 
 
 def test_bounds_subcommand(ref_file, tmp_path):

@@ -178,6 +178,12 @@ class TestExactShapley:
         small = sa.AllocationScenario(["x", "y"], [("g", 1.0)], {"x": ["g"], "y": ["g"]}, k=1)
         with pytest.raises(sa.ComponentTooLarge, match="limit"):
             sa.exact_shapley(small, limit=1)
+        # 63 agents overflow the 64-bit masks: refused before any job is
+        # built, whatever the limit
+        agents = [f"a{i}" for i in range(63)]
+        big = sa.AllocationScenario(agents, [("g", 1.0)], {a: ["g"] for a in agents}, k=1)
+        with pytest.raises(sa.ComponentTooLarge, match="63 agents.*64-bit"):
+            sa.exact_shapley(big, limit=100)
 
     def test_efficiency_gap_reported(self):
         scn = random_scenario(241, n=7)

@@ -22,7 +22,7 @@ def test_single_agent_takes_both_goods():
     )
     alloc, value = sa.optimal_allocation(scn, scn.full_mask)
     assert value == 8.0
-    assert alloc.assignment["x"] == frozenset({"g", "h"})
+    assert alloc["x"] == frozenset({"g", "h"})
 
 
 def test_contested_good_goes_to_exactly_one():
@@ -31,7 +31,7 @@ def test_contested_good_goes_to_exactly_one():
     )
     alloc, value = sa.optimal_allocation(scn, scn.full_mask)
     assert value == 5.0
-    holders = [a for a, goods in alloc.assignment.items() if goods]
+    holders = [a for a, goods in alloc.items() if goods]
     assert len(holders) == 1
 
 
@@ -43,7 +43,7 @@ def test_value_only_equals_allocation_value(ref_game):
     for m in range(1, 1 << ref_game.n):
         alloc, value = sa.optimal_allocation(ref_game, m)
         assert sa.optimal_value_only(ref_game, m) == value
-        assert allocation_value(ref_game, alloc.assignment) == pytest.approx(
+        assert allocation_value(ref_game, alloc) == pytest.approx(
             value, rel=1e-12, abs=1e-12)
 
 
@@ -108,8 +108,8 @@ def test_zero_value_goods_never_assigned():
     )
     alloc, value = sa.optimal_allocation(scn, scn.full_mask)
     assert value == 2.0
-    assert alloc.assignment["y"] == frozenset()
-    assert "g" not in alloc.assignment["x"]
+    assert alloc["y"] == frozenset()
+    assert "g" not in alloc["x"]
 
 
 def test_allocations_feasible_on_random_instances():
@@ -119,7 +119,7 @@ def test_allocations_feasible_on_random_instances():
         for _ in range(10):
             m = int(rng.integers(1, 1 << scn.n))
             alloc, value = sa.optimal_allocation(scn, m)
-            validate_allocation(scn, alloc.assignment, m)
+            validate_allocation(scn, alloc, m)
             assert value >= 0.0
 
 
@@ -135,7 +135,7 @@ def test_exhaustive_against_brute_force_with_ties():
                     want, rel=1e-12, abs=1e-12
                 ), (k, seed, m)
                 alloc, value = sa.optimal_allocation(scn, m)
-                validate_allocation(scn, alloc.assignment, m)
+                validate_allocation(scn, alloc, m)
                 assert value == pytest.approx(want, rel=1e-12, abs=1e-12), (k, seed, m)
 
 
@@ -210,7 +210,7 @@ def test_remove_agent_exhaustive_against_brute_force():
             for m in range(1, 1 << scn.n):
                 for i in sa.iter_bits(m):
                     rest = m & ~(1 << i)
-                    holder, held = matching.greedy(scn, m)
+                    holder, held, _ = matching.greedy(scn, m)
                     loss = matching.remove_agent(scn, holder, held, i)
                     assert loss == pytest.approx(opt[m] - opt[rest], rel=1e-12, abs=1e-12)
                     assert loss == matching.marginal_gain(scn, rest, i), (k, seed, m, i)
@@ -342,7 +342,7 @@ def _kernels_match_references(scn, coalitions, stats):
     per greedy and per removal."""
     for m in coalitions:
         m0 = matching.solve_calls()
-        got = matching._greedy(scn, m)
+        got = matching.greedy(scn, m)
         assert matching.solve_calls() - m0 == 1
         assert got == reference_greedy(scn, m), m
         holder, held, kept = got
@@ -363,13 +363,18 @@ def _kernels_match_references(scn, coalitions, stats):
 def test_greedy_and_remove_agent_match_the_frozen_kernels():
     # every coalition of small tie-heavy instances, k = 1..3
     stats = {"dropped": 0, "lossy": 0, "removals": 0}
+    zero_interest = 0
     for inst in range(36):
         scn = sa.generate(agents=7, goods_per_agent=1.6, coauthor_prob=0.6, max_claimers=3,
                           value_set=SEARCH_VALUE_SETS[inst % 4], k=1 + inst % 3,
                           seed=2000 + inst)
+        zero_interest += any(scn.good_value_list[g] == 0.0 for row in scn.interest for g in row)
         _kernels_match_references(scn, range(1, 1 << scn.n), stats)
     # goods the greedy could not keep, and removals that lost value
     assert stats["dropped"] > 1000 and stats["lossy"] > 1000, stats
+    # members interested in zero-value goods, which the greedy skips and
+    # the frozen greedy searches for in vain
+    assert zero_interest > 0
 
 
 def test_greedy_and_remove_agent_match_the_frozen_kernels_mid_size():

@@ -181,7 +181,7 @@ class TestAgentsGraph:
             for j in range(3):
                 if i == j:
                     continue
-                shared = set(scn.positive_interest[i]) & set(scn.positive_interest[j])
+                shared = set(scn.ranked_interest[i]) & set(scn.ranked_interest[j])
                 assert bool(graph.neighbor_masks[i] >> j & 1) == bool(shared)
 
     def test_random_adjacency_matches_intersection(self):
@@ -192,7 +192,7 @@ class TestAgentsGraph:
                 if i == j:
                     assert not graph.neighbor_masks[i] >> i & 1
                     continue
-                shared = set(scn.positive_interest[i]) & set(scn.positive_interest[j])
+                shared = set(scn.ranked_interest[i]) & set(scn.ranked_interest[j])
                 assert bool(graph.neighbor_masks[i] >> j & 1) == bool(shared)
             assert graph.neighbor_lists[i] == tuple(sa.iter_bits(graph.neighbor_masks[i]))
 
