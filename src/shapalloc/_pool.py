@@ -3,10 +3,9 @@
 Heavy solvers split work into an ordered list of self-describing jobs, and
 ``run_jobs`` runs ``fn(payload, job)`` for each of them, in process or in a
 pool.  In a pool, each worker receives the shared payload once, via the pool
-initializer, and keeps it as long as the pool lives; exact enumeration
-keeps its component values in the payload, so each worker fills its own
-copy.  A memo never changes a value, so per-worker memos cannot change a
-result, only how many matchings run.
+initializer, and keeps it as long as the pool lives.  No solver keeps a
+memo in the payload: each job runs the same matchings whichever worker
+runs it, so the work counted below is the same at any worker count.
 
 Each job is wrapped by ``counted``, which takes the deltas of
 ``matching.solve_calls()`` (greedy matchings) and of

@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_opt)
 
-    p = sub.add_parser("exact", help="exact Shapley values by full enumeration")
+    p = sub.add_parser("exact", help="exact Shapley values from every connected coalition")
     p.add_argument("--scenario", required=True)
     add_threads(p)
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT, help="max component size")

@@ -1,22 +1,41 @@
-"""Brute-force Shapley values over all coalitions of one component.
+"""Exact Shapley values from the connected coalitions of one component.
 
-The per-agent sum over coalitions C of w(|C|) * (v(C+i) - v(C)) is regrouped
-per coalition: every mask m contributes +w(|m|-1) * v(m) to each member and
--w(|m|) * v(m) to each non-member.  Each of the 2^n worths is then needed
-exactly once, masks can be partitioned into independent contiguous jobs, and
-merging per-job partial sums in mask order makes the result identical for
-any worker count.  A job is an aligned block of 2^b masks, so each agent's
-member and non-member sums are strided numpy reductions over the job's
-weighted worths.  No BLAS routine runs: a dot product longer than a few
-thousand elements is split over BLAS threads, which would make the last
-bits depend on the BLAS thread count.
+A coalition's worth is the sum of its connected components' worths
+(``model.char_value``), so the game is the graph-restricted game of Myerson
+(1977): v(C) is the sum of f(S) over the components S of C, where f(S) =
+``matching.optimal_value_only(scenario, S)`` for a connected set S.  Take a
+connected S with s members and b boundary agents, the agents outside S
+adjacent to it (its boundary dS).  S is a component of exactly the
+coalitions S + D with D disjoint from S and dS, and summed over those
+coalitions the Shapley weights depend only on the order in which the s + b
+agents of S and dS join:
 
-``worths`` values a whole range of masks at once, the same way
-``model.char_value`` values one.  The permutation sampler's worth table
-uses it too.  Component values are kept in a plain dict that travels in the
-job payload, so in a pool each worker values each component once for the
-life of the pool; how many matchings run depends on the worker count, the
-values do not.
+* each member of S gains f(S) * (s-1)! b! / (s+b)!, the chance that it
+  completes S before any agent of dS joins;
+* each agent of dS loses f(S) * s! (b-1)! / (s+b)!, the chance that it
+  joins first of dS, right after S is complete;
+* every other agent meets S as a component both with and without itself,
+  so f(S) cancels.
+
+Both weights are ``shapley_weight`` values: of s - 1 in a game of s + b
+agents, and of s.  So the values need f on the connected sets alone
+(Skibski, Michalak, Rahwan & Wooldridge 2014), each valued once: 1,888 sets
+where the benchmark's ``market`` workload has 55,524 coalitions on its
+exact components.
+
+``connected_sets`` enumerates them by reverse search with an exclusion
+set; a root yields every connected set whose lowest member it is, exactly
+once.  A component of at most ``JOB_BITS`` agents is one job, a larger one
+one job per root.  The split depends on the agent count alone and partial
+sums merge in root order, so values are identical for any worker count, and
+so is the number of matchings: each connected set of two or more agents is
+matched once, in the one job that enumerates it.  Sums are plain float
+additions in a fixed order; no BLAS routine runs, so the BLAS thread count
+cannot move a bit either.
+
+``worths`` values a whole range of masks at once, bit for bit as
+``model.char_value`` values one.  It serves the permutation sampler's worth
+table.
 """
 
 from __future__ import annotations
@@ -31,7 +50,8 @@ from .model import AllocationScenario, CharacteristicCache
 from .report import AgentResult, ShapleyReport
 
 DEFAULT_LIMIT = 26
-JOB_BITS = 14  # masks per job: 2**JOB_BITS
+# a component of more agents is split into one job per enumeration root
+JOB_BITS = 14
 
 
 class ComponentTooLarge(ValueError):
@@ -48,14 +68,6 @@ def shapley_weight(csize: int, n: int) -> float:
     if not 0 <= csize <= n - 1:
         raise ValueError(f"coalition size {csize} out of range for n={n}")
     return factorial(csize) * factorial(n - csize - 1) / factorial(n)
-
-
-def _weight_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    w = [shapley_weight(s, n) for s in range(n)]
-    # indexed by popcount of the mask at hand
-    w_member = np.array([0.0] + w, dtype=np.float64)          # uses w[|m|-1]
-    w_outside = np.array(w + [0.0], dtype=np.float64)         # uses w[|m|]
-    return w_member, w_outside
 
 
 def worths(scenario: AllocationScenario, lo: int, hi: int, store: dict[int, float]) -> np.ndarray:
@@ -99,38 +111,63 @@ def worths(scenario: AllocationScenario, lo: int, hi: int, store: dict[int, floa
     return out
 
 
-def _exact_job(payload, job):
-    """Per-agent partial sums over one aligned block of masks.
+def connected_sets(neighbor_masks, root: int):
+    """Every connected set whose lowest member is ``root``, each once.
 
-    The block ``lo..hi-1`` holds 2^b masks and ``lo`` is a multiple of
-    2^b, so bits b and up are the same for every mask in it: popcounts are
-    those of ``lo`` plus those of 0..2^b-1, an agent at bit i >= b is a
-    member of every mask or of none, and an agent at bit i < b is a member
-    exactly in the second of each pair of consecutive runs of 2^i masks.
-    Each sum is a numpy reduction, in a fixed order on one thread.
+    Yields ``(members, boundary)`` masks, the boundary being the agents
+    outside the set adjacent to it.  Reverse search with an exclusion set:
+    a state is a set, its boundary and the agents excluded from growing it
+    (those below ``root`` from the start).  Its candidates are the boundary
+    agents not excluded; the state yields its set, then each candidate, in
+    ascending order, starts a state of the set plus that candidate and is
+    excluded from the states of the candidates after it.  A connected
+    superset with no excluded agent holds some candidate, and the state of
+    its lowest candidate is the only one it can come from, so every set
+    comes out once.
     """
-    scenario, w_member, w_outside, store = payload
-    lo, hi = job
-    b = (hi - lo).bit_length() - 1
-    assert hi - lo == 1 << b and lo % (1 << b) == 0, f"unaligned job {lo}..{hi}"
-    v = worths(scenario, lo, hi, store)
-    pc = np.zeros(1, dtype=np.int64)
-    for _ in range(b):
-        pc = np.concatenate((pc, pc + 1))
-    pc += lo.bit_count()
-    d_in = v * w_member[pc]
-    d_out = v * w_outside[pc]
-    whole_in, whole_out = d_in.sum(), d_out.sum()
-    partial = np.empty(scenario.n, dtype=np.float64)
-    for i in range(scenario.n):
-        if i < b:
-            partial[i] = (d_in.reshape(-1, 2, 1 << i)[:, 1, :].sum()
-                          - d_out.reshape(-1, 2, 1 << i)[:, 0, :].sum())
-        elif lo >> i & 1:
-            partial[i] = whole_in
-        else:
-            partial[i] = -whole_out
-    return partial
+    stack = [(1 << root, neighbor_masks[root], (1 << root) - 1)]
+    while stack:
+        members, boundary, excluded = stack.pop()
+        yield members, boundary
+        todo = boundary & ~excluded
+        while todo:
+            w = todo & -todo
+            todo ^= w
+            grown = members | w
+            stack.append((grown, (boundary | neighbor_masks[w.bit_length() - 1]) & ~grown, excluded))
+            excluded |= w
+
+
+def _exact_job(payload, roots):
+    """Per-agent partial sums over the connected sets of the roots
+    ``roots[0]..roots[1]-1``, with the values of the sets that have no
+    boundary (components of the whole graph), in root order, and the
+    number of sets."""
+    scenario, gain_weight, loss_weight = payload
+    neigh = scenario.graph.neighbor_masks
+    partial = [0.0] * scenario.n
+    components = []
+    count = 0
+    for root in range(*roots):
+        for members, boundary in connected_sets(neigh, root):
+            count += 1
+            f = matching.optimal_value_only(scenario, members)
+            if not boundary:
+                components.append(f)
+            if not f:
+                continue  # adds and subtracts only zeros
+            s, b = members.bit_count(), boundary.bit_count()
+            gain = f * gain_weight[s][b]
+            while members:
+                low = members & -members
+                partial[low.bit_length() - 1] += gain
+                members ^= low
+            loss = f * loss_weight[s][b]
+            while boundary:
+                low = boundary & -boundary
+                partial[low.bit_length() - 1] -= loss
+                boundary ^= low
+    return partial, components, count
 
 
 def exact_shapley(
@@ -139,25 +176,34 @@ def exact_shapley(
     workers: int = 1,
     limit: int = DEFAULT_LIMIT,
 ) -> ShapleyReport:
-    """Exact Shapley values of every agent, by full coalition enumeration.
+    """Exact Shapley values of every agent, from its connected coalitions.
 
-    Refuses components larger than ``limit`` (2^n worths must be computed),
-    or than 62 agents whatever ``limit`` says, since masks are 64-bit
-    integers; use the bound or sampling solvers beyond that.  Results are
-    independent of ``workers``: jobs are fixed mask ranges and their partial
-    sums are merged in range order.  They are independent of the BLAS thread
-    count too, since no BLAS routine runs.  ``workers`` below 1 raises
-    ``ValueError``.
-    ``cache`` is inert: nothing is looked up in it or stored in it, and it
-    stays so that callers passing it positionally keep working.
+    Each connected set S is valued once and credited to its members and
+    its boundary with the weights of the module docstring, so the work
+    grows with the number of connected sets, not with 2^n: n(n+1)/2 on a
+    path of n agents, 2^n - 1 on a clique.  A component of more than
+    ``JOB_BITS`` agents runs one job per enumeration root, lowest member
+    first; a smaller one is a single job.  Partial sums merge in root
+    order, so values and ``meta["matchings"]`` are independent of
+    ``workers``; no BLAS routine runs, so values are independent of the
+    BLAS thread count too.  ``meta["connected_sets"]`` counts the sets and
+    ``meta["grand_value"]`` is ``char_value`` of the whole scenario, bit for
+    bit, summed from the sets that have no boundary.
+
+    Refuses components larger than ``limit``, and than 62 agents whatever
+    ``limit`` says, the bound kept from when coalitions were 64-bit masks;
+    use the bound or sampling solvers beyond that.  ``workers`` below 1
+    raises ``ValueError``.  ``cache`` is inert: nothing is looked up in it
+    or stored in it, and it stays so that callers passing it positionally
+    keep working.
     """
     n = scenario.n
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if n > 62:
         raise ComponentTooLarge(
-            f"component has {n} agents; exact enumeration holds masks in 64-bit "
-            f"integers, so it is limited to 62 agents whatever the limit"
+            f"component has {n} agents; exact enumeration is limited to 62 agents "
+            f"whatever the limit, the bound kept from its 64-bit masks"
         )
     if n > limit:
         raise ComponentTooLarge(
@@ -167,33 +213,38 @@ def exact_shapley(
     t0 = time.perf_counter()
     if n == 0:
         return ShapleyReport(agents=[], meta={"method": "exact", "n": 0})
-    w_member, w_outside = _weight_arrays(n)
-    total = 1 << n
-    # both powers of two, so every job is an aligned block
-    job_size = min(1 << JOB_BITS, total)
-    jobs = [(lo, lo + job_size) for lo in range(0, total, job_size)]
-    store: dict[int, float] = {}
+    # [s][b]: the weights of a connected set of s members and b boundary agents
+    gain_weight = [[shapley_weight(s - 1, s + b) if s else 0.0 for b in range(n + 1 - s)]
+                   for s in range(n + 1)]
+    loss_weight = [[shapley_weight(s, s + b) if b else 0.0 for b in range(n + 1 - s)]
+                   for s in range(n + 1)]
+    jobs = [(0, n)] if n <= JOB_BITS else [(v, v + 1) for v in range(n)]
     results, work = _pool.run_jobs(
-        _exact_job, jobs, (scenario, w_member, w_outside, store), workers=workers
+        _exact_job, jobs, (scenario, gain_weight, loss_weight), workers=workers
     )
 
-    sv = np.zeros(n, dtype=np.float64)
-    for partial in results:
-        sv = sv + partial
-    # in process, the store already holds the grand coalition's components
-    grand = float(worths(scenario, total - 1, total, store)[0])
+    sv = [0.0] * n
+    grand = 0.0
+    sets = 0
+    for partial, components, count in results:
+        sv = [a + p for a, p in zip(sv, partial)]
+        # the components of the whole graph in order of their lowest
+        # member, summed from 0.0 as char_value sums them
+        for f in components:
+            grand += f
+        sets += count
     wall = time.perf_counter() - t0
     agents = [
-        AgentResult(agent=a, kind="exact", method="exact", value=float(sv[i]))
+        AgentResult(agent=a, kind="exact", method="exact", value=sv[i])
         for i, a in enumerate(scenario.agents)
     ]
     meta = {
         "method": "exact",
         "n": n,
-        "masks": total,
+        "connected_sets": sets,
         "workers": workers,
         "grand_value": grand,
-        "efficiency_gap": float(sv.sum() - grand),
+        "efficiency_gap": sum(sv) - grand,
         **work,
         "wall_time": wall,
     }

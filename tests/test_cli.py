@@ -85,9 +85,23 @@ def test_exact_limit_flag(ref_file, tmp_path):
     assert run_cli("exact", "--scenario", ref_file, "--limit", "2") == 2
 
 
+def test_exact_raised_limit_runs_a_long_path(tmp_path):
+    # 45 agents in a path: 1,035 connected coalitions, one job per root
+    n = 45
+    ids = [f"a{i}" for i in range(n)]
+    goods = [(f"g{i}", 1.0) for i in range(n - 1)]
+    interest = {a: [f"g{j}" for j in (i - 1, i) if 0 <= j < n - 1] for i, a in enumerate(ids)}
+    path = tmp_path / "path45.json"
+    sa.save_scenario(sa.AllocationScenario(ids, goods, interest, k=1), str(path))
+    out = tmp_path / "exact.json"
+    assert run_cli("exact", "--scenario", str(path), "--limit", "50", "--threads", "1",
+                   "--out", str(out)) == 0
+    assert len(sa.ShapleyReport.load(str(out)).agents) == n
+
+
 def test_components_over_62_agents_fail_cleanly(tmp_path, capsys):
-    # exact enumeration's masks are 64-bit: exact and solve refuse such a
-    # component at once, whatever the limit, instead of enumerating it
+    # exact and solve refuse a component of more than 62 agents at once,
+    # whatever the limit, instead of enumerating it
     agents = [f"a{i}" for i in range(63)]
     path = tmp_path / "clique63.json"
     sa.save_scenario(sa.AllocationScenario(

@@ -127,9 +127,8 @@ class TestExactShapley:
         assert one == many  # job merge order is fixed, so bit-identical
 
     def test_prefilled_cache_at_one_and_two_workers(self, monkeypatch):
-        # several jobs, so that two workers share them out, each valuing
-        # components in its own store; the passed cache is neither read
-        # nor written
+        # one job per root, so that two workers share them out; the passed
+        # cache is neither read nor written
         monkeypatch.setattr("shapalloc.exact.JOB_BITS", 6)
         scn = random_scenario(221, n=9)
         reports = []
@@ -143,13 +142,31 @@ class TestExactShapley:
             assert "cache" not in reports[-1].meta
         one, two = ([r.value.hex() for r in rep.agents] for rep in reports)
         assert one == two
-        # in process one store serves every job, so each component of more
-        # than one agent is matched once
+        # each connected set of more than one agent is matched once, in the
+        # one job that enumerates it, at any worker count
         neigh = scn.graph.neighbor_masks
         comps = {
             c for m in range(1 << scn.n) for c in sa.connected_components(m, neigh) if c & (c - 1)
         }
-        assert reports[0].meta["matchings"] == len(comps)
+        assert [rep.meta["matchings"] for rep in reports] == [len(comps)] * 2
+
+    def test_long_path_runs_one_job_per_root(self):
+        # 45 agents: far beyond 2^n enumeration, but a path has only
+        # n(n+1)/2 connected sets, the intervals, n of them singletons
+        n = 45
+        ids = [f"a{i}" for i in range(n)]
+        goods = [(f"s{i}", 1.0 + i % 3) for i in range(n - 1)] + [(f"p{i}", 0.5) for i in range(n)]
+        interest = {
+            a: [f"p{i}"] + [f"s{j}" for j in (i - 1, i) if 0 <= j < n - 1]
+            for i, a in enumerate(ids)
+        }
+        scn = sa.AllocationScenario(ids, goods, interest, k=1)
+        rep = sa.exact_shapley(scn, limit=50)
+        grand = sa.char_value(scn, scn.full_mask)
+        assert rep.meta["grand_value"] == grand
+        assert abs(sum(r.value for r in rep.agents) - grand) <= 1e-9 * grand
+        assert rep.meta["connected_sets"] == n * (n + 1) // 2
+        assert rep.meta["matchings"] == n * (n + 1) // 2 - n
 
     def test_declaration_order_invariance(self):
         scn = random_scenario(230, n=8)
@@ -178,8 +195,7 @@ class TestExactShapley:
         small = sa.AllocationScenario(["x", "y"], [("g", 1.0)], {"x": ["g"], "y": ["g"]}, k=1)
         with pytest.raises(sa.ComponentTooLarge, match="limit"):
             sa.exact_shapley(small, limit=1)
-        # 63 agents overflow the 64-bit masks: refused before any job is
-        # built, whatever the limit
+        # 63 agents: refused before any job is built, whatever the limit
         agents = [f"a{i}" for i in range(63)]
         big = sa.AllocationScenario(agents, [("g", 1.0)], {a: ["g"] for a in agents}, k=1)
         with pytest.raises(sa.ComponentTooLarge, match="63 agents.*64-bit"):
@@ -195,11 +211,11 @@ class TestExactShapley:
         # the same sums in Fraction arithmetic, from the same worths and the
         # unrounded weights; the member and non-member sums can cancel, so
         # the error is measured in ulps of the sum of the terms' magnitudes
-        # (the worst seen is about 1 ulp).  Jobs of 8 masks put the agents
-        # at bits 3 and up outside every job's own bits
+        # (the worst seen is about 1 ulp).  With JOB_BITS 3 every component
+        # of more than 3 agents runs one job per root
         monkeypatch.setattr("shapalloc.exact.JOB_BITS", job_bits)
         for seed in range(300, 340):
-            n = 1 + seed % 8
+            n = 1 + seed % 10
             scn = random_scenario(seed, n=n, k=1 + seed % 3)
             v = [Fraction(float(x)) for x in exact.worths(scn, 0, 1 << n, {})]
             w = [Fraction(factorial(s) * factorial(n - s - 1), factorial(n)) for s in range(n)]
@@ -214,8 +230,7 @@ class TestExactShapley:
                 assert abs(Fraction(got[i]) - want) <= 4 * ulp(scale), (seed, i)
 
     def test_values_independent_of_blas_thread_count(self):
-        # one connected 15-agent component, two jobs of 2^14 masks: at that
-        # length OpenBLAS would split a dot product over two threads
+        # one connected 15-agent component, one job per root
         code = (
             "import shapalloc as sa\n"
             "from conftest import random_scenario\n"
@@ -278,3 +293,67 @@ def test_worths_match_char_value_bit_for_bit():
         # a fresh store over a range that starts above 0
         lo = total // 3
         assert [float(v).hex() for v in exact.worths(scn, lo, total, {})] == want[lo:], idx
+
+
+def _graph_scenario(n: int, edges, idle=()) -> sa.AllocationScenario:
+    """A game whose agents graph has exactly ``edges``: one shared good per
+    edge; every agent but those in ``idle`` also has a private good, and
+    agents in ``idle`` want only a worthless good."""
+    ids = [f"a{i}" for i in range(n)]
+    goods = [("zero", 0.0)] + [(f"e{t}", 1.0) for t in range(len(edges))]
+    interest: dict[str, list[str]] = {a: ["zero"] for a in ids}
+    for i in range(n):
+        if i not in idle:
+            goods.append((f"p{i}", 0.5))
+            interest[ids[i]].append(f"p{i}")
+    for t, (i, j) in enumerate(edges):
+        interest[ids[i]].append(f"e{t}")
+        interest[ids[j]].append(f"e{t}")
+    return sa.AllocationScenario(ids, goods, interest, k=1)
+
+
+def _enumeration_graphs():
+    """At least 200 graphs of 1 to 10 agents: random trees, cycles, cliques,
+    random graphs, and disjoint unions of them, some agents idle."""
+    rng = np.random.default_rng(7)
+    out = []
+    for t in range(220):
+        n = 1 + t % 10
+        kind = t % 5
+        if kind == 0:  # random tree
+            edges = [(int(rng.integers(0, j)), j) for j in range(1, n)]
+        elif kind == 1:  # cycle
+            edges = [(i, (i + 1) % n) for i in range(n)] if n >= 3 else []
+        elif kind == 2:  # clique
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        elif kind == 3:  # random graph
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+        else:  # two disjoint random trees, interleaved in agent order
+            side = rng.permutation(n)
+            a, b = sorted(side[: n // 2].tolist()), sorted(side[n // 2:].tolist())
+            edges = [(p[int(rng.integers(0, j))], p[j]) for p in (a, b) for j in range(1, len(p))]
+        idle = {i for i in range(n) if rng.random() < 0.2}
+        # an idle agent has no positive good, hence no edge
+        edges = [(i, j) for i, j in edges if i not in idle and j not in idle]
+        out.append(_graph_scenario(n, edges, idle))
+    return out
+
+
+def test_connected_sets_enumerate_each_connected_coalition_once():
+    graphs = _enumeration_graphs()
+    assert len(graphs) >= 200
+    for idx, scn in enumerate(graphs):
+        neigh = scn.graph.neighbor_masks
+        want = {c for m in range(1, 1 << scn.n) for c in sa.connected_components(m, neigh)}
+        got = []
+        for root in range(scn.n):
+            for members, boundary in exact.connected_sets(neigh, root):
+                assert members & -members == 1 << root, idx
+                adjacent = 0
+                for i in sa.iter_bits(members):
+                    adjacent |= neigh[i]
+                assert boundary == adjacent & ~members, idx
+                got.append(members)
+        assert len(got) == len(set(got)), idx
+        assert set(got) == want, idx
+        assert sa.exact_shapley(scn).meta["connected_sets"] == len(want), idx
