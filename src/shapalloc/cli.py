@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
-import numbers
 import sys
 
 from . import __version__
@@ -24,7 +22,7 @@ from .model import ScenarioError, load_scenario
 from .matching import optimal_allocation
 from .pipeline import SAMPLERS, solve
 from .preprocess import run_pipeline
-from .report import ShapleyReport
+from .report import ShapleyReport, finite_number
 from .sampling import FprasConfig, RangeSamplerConfig, fpras_shapley, range_sampler_shapley
 from .generator import extract_subgraph, generate
 
@@ -136,7 +134,7 @@ def _load_lower_bounds(path: str) -> dict[str, float]:
     else:
         raise ScenarioError(f"{path}: expected a bounds report or an agent->bound map")
     for agent, lb in bounds.items():
-        if isinstance(lb, bool) or not isinstance(lb, numbers.Real) or not math.isfinite(lb):
+        if not finite_number(lb):
             raise ScenarioError(
                 f"{path}: lower bound of agent {agent!r} is not a finite number: {lb!r}"
             )

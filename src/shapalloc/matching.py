@@ -198,11 +198,14 @@ def add_agents(
     coalition with it.  Returns each agent's gain, in order, and how many
     agents had no neighbor in the coalition when they joined.
 
-    An agent whose solo goods are all free takes them with no search: no
-    marginal exceeds opt({i}), which that bundle reaches.  With no neighbor
-    in the coalition (``scenario.graph.neighbor_lists``) its gain is
-    ``solo_value[i]``; otherwise the goods' values summed best first from
-    0.0, the float the search below returns for the same goods.
+    Per agent, the solo goods, their best-first sum, ``solo_value[i]`` as a
+    float and the unit count come from ``scenario.walk_table``, built on
+    the first call for a scenario and kept with it.  An agent whose solo
+    goods are all free takes them with no search: no marginal exceeds
+    opt({i}), which that bundle reaches.  With no neighbor in the coalition
+    (``scenario.graph.neighbor_lists``) its gain is ``solo_value[i]``;
+    otherwise the goods' values summed best first from 0.0, the float the
+    search below returns for the same goods.
 
     Any other agent is added one capacity unit at a time.  Adding a unit
     changes the optimal allocation by a single alternating path from ``i``,
@@ -219,19 +222,19 @@ def add_agents(
     than the best good ``i`` does not hold yet, nor more than the unit
     before it, and a search may stop at the first free good worth that
     ``ceiling``.  Goods are scanned in the greedy's order
-    (``scenario.ranked_interest``, value descending), ``i``'s own first, so
-    the first free good of ``i``'s worth the ceiling is taken with no
-    search, and every scan stops at the first good worth no more than the
-    best free good found so far: a held good is not expanded then.  Which
-    optimal augmentation is applied may differ from an unbounded search,
-    but not its gain: each unit gain is v_u - v_(u-1), the optimum with
-    ``i`` allowed u goods less the optimum with u - 1, which depends only on
-    the coalition.  So every gain is the same float, summed in the same
-    order.
+    (``scenario.ranked_interest``, value descending), ``i``'s own first,
+    skipping those ``i`` holds, so the first free good of ``i``'s worth the
+    ceiling is taken with no search, and every scan stops at the first good
+    worth no more than the best free good found so far: a held good is not
+    expanded then.  Which optimal augmentation is applied may differ from
+    an unbounded search, but not its gain: each unit gain is v_u - v_(u-1),
+    the optimum with ``i`` allowed u goods less the optimum with u - 1,
+    which depends only on the coalition.  So every gain is the same float,
+    summed in the same order.
     """
     global _SEARCH_CALLS
-    k = scenario.k
     ranked, values = scenario.ranked_interest, scenario.good_value_list
+    table = scenario.walk_table
     neighbors = scenario.graph.neighbor_lists
     gains = []
     hits = searched = 0
@@ -242,8 +245,7 @@ def add_agents(
     parent = mark = None
     stamp = 255
     for i in agents:
-        own = ranked[i]
-        solo = own[:k]
+        solo, solo_sum, solo_value, units = table[i]
         for g in solo:
             if holder[g] >= 0:
                 break
@@ -251,13 +253,11 @@ def add_agents(
             for b in neighbors[i]:
                 if held[b] is not None:
                     # a neighbor is a member: the search's sum, best first
-                    total = 0.0
-                    for g in solo:
-                        total += values[g]
+                    total = solo_sum
                     break
             else:
                 hits += 1
-                total = float(scenario.solo_value[i])
+                total = solo_value
             held[i] = list(solo)
             for g in solo:
                 holder[g] = i
@@ -265,11 +265,14 @@ def add_agents(
             continue
         searched += 1
         mine = held[i] = []
-        rest = list(own)  # i's goods it does not hold yet, best first
+        own = ranked[i]
         total = 0.0
         gain = values[own[0]]
-        for _ in range(k if k < len(own) else len(own)):
-            g = rest[0]
+        for _ in range(units):
+            # the best good i does not hold yet
+            for g in own:
+                if holder[g] != i:
+                    break
             if holder[g] < 0:
                 # the best good i does not hold is free: no unit gains more
                 best_val = values[g]
@@ -288,7 +291,9 @@ def add_agents(
                 best_good = -1
                 best_val = 0.0
                 queue = []
-                for g in rest:
+                for g in own:
+                    if holder[g] == i:
+                        continue
                     v = values[g]
                     if v <= best_val:
                         break
@@ -340,7 +345,6 @@ def add_agents(
             gain = best_val
             holder[g] = i
             mine.append(g)
-            rest.remove(g)
         gains.append(total)
     _SEARCH_CALLS += searched
     return gains, hits

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -58,7 +59,11 @@ class AllocationScenario:
                 raise ScenarioError(f"good {g!r} has a non-numeric value {v!r}")
         # the same values as Python floats: the augmenting searches index
         # them once per good visited, where numpy scalars cost more
-        self.good_value_list = [float(v) for _, v in goods]
+        try:
+            self.good_value_list = [float(v) for _, v in goods]
+        except OverflowError:  # an int beyond the float range
+            bad = next(g for g, v in goods if abs(v) > sys.float_info.max)
+            raise ScenarioError(f"good {bad!r} has a value too large for a float") from None
         self.good_values = np.asarray(self.good_value_list, dtype=np.float64)
         finite = np.isfinite(self.good_values)
         if not finite.all():
@@ -147,6 +152,26 @@ class AllocationScenario:
             self._graph = build_agents_graph(self)
         return self._graph
 
+    # set on first use of ``walk_table``; a class default, so construction
+    # pays nothing for scenarios no walk reaches
+    _walk_table: "list[tuple[tuple[int, ...], float, float, int]] | None" = None
+
+    @property
+    def walk_table(self) -> list[tuple[tuple[int, ...], float, float, int]]:
+        """Per agent, what ``matching.add_agents`` reads for it: its solo
+        goods, their values summed best first from 0.0, ``solo_value`` as a
+        float, and its unit count ``min(k, len(ranked_interest[i]))``."""
+        if self._walk_table is None:
+            k, values = self.k, self.good_value_list
+            table = []
+            for own, solo in zip(self.ranked_interest, self.solo_value.tolist()):
+                total = 0.0
+                for g in own[:k]:
+                    total += values[g]
+                table.append((own[:k], total, solo, min(k, len(own))))
+            self._walk_table = table
+        return self._walk_table
+
     # -- coalitions --------------------------------------------------------
 
     def mask_of(self, ids: Iterable[str]) -> Coalition:
@@ -169,10 +194,10 @@ class AllocationScenario:
         Agent and good order follow the original declaration order.
         """
         keep = set(ids)
-        unknown = keep - set(self.agents)
+        unknown = [a for a in keep if a not in self.agent_index]
         if unknown:
             raise ScenarioError(f"unknown agents in restriction: {sorted(unknown)}")
-        agents = [a for a in self.agents if a in keep]
+        agents = sorted(keep, key=self.agent_index.__getitem__)
         used: set[int] = set()
         for a in agents:
             used.update(self.interest[self.agent_index[a]])
@@ -280,17 +305,22 @@ class AgentsGraph:
         return list(connected_components((1 << self.n) - 1, self.neighbor_masks))
 
 
+def neighbor_masks(n: int, claimers: Iterable[Sequence[int]]) -> list[int]:
+    """Per agent of ``n``, the mask of the other agents that claim a good it
+    claims; ``claimers`` lists each good's claimers."""
+    neigh = [0] * n
+    for group in claimers:
+        if len(group) < 2:
+            continue
+        mask = mask_from_indices(group)
+        for i in group:
+            neigh[i] |= mask ^ (1 << i)
+    return neigh
+
+
 def build_agents_graph(scenario: AllocationScenario) -> AgentsGraph:
     n = scenario.n
-    neigh = [0] * n
-    for claimers in scenario.good_claimers:
-        if len(claimers) < 2:
-            continue
-        mask = mask_from_indices(claimers)
-        for i in claimers:
-            neigh[i] |= mask
-    for i in range(n):
-        neigh[i] &= ~(1 << i)
+    neigh = neighbor_masks(n, scenario.good_claimers)
     return AgentsGraph(
         n=n,
         neighbor_masks=tuple(neigh),

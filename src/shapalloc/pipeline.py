@@ -54,7 +54,9 @@ def solve(
     not a component reaches the sampler.  ``meta["wall_time"]`` covers this
     call only, not loading the scenario; ``meta["timings"]`` splits it into
     ``preprocess`` and the ``exact``, ``bounds`` and ``sampler`` time summed
-    over components.
+    over components, and ``meta["preprocess_timings"]`` splits
+    ``preprocess`` into its ``separate``, ``prune`` and ``components``
+    stages.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
@@ -113,6 +115,7 @@ def solve(
         "components_exact": exact_components,
         "components_sampled": sampled_components,
         "timings": timings,
+        "preprocess_timings": pre.stage_times,
         "wall_time": time.perf_counter() - t0,
     }
     return report

@@ -23,6 +23,16 @@ coalition C of all agents still live: the whole scenario for stage 3, the
 remainder for stage 4.  Both take them from ``matching.removal_marginals``:
 one greedy for C, then each member removed from that optimum and added
 back, instead of one greedy per agent.
+
+Each stage is also a public function that builds the scenario the next one
+reads.  ``run_pipeline`` gives the same outcome without those intermediate
+scenarios: stages 3 and 4 pass coalition masks over the loaded scenario,
+whose goods order (value descending, ties by index) and claimers order
+restriction keeps, so each call runs the same greedy and searches and
+returns the same floats.  Only the residual components are built, once
+each, from their pruned interest rows.  The separability test
+(``_separable``) and the pruning rule (``_useful_goods``) each exist once,
+shared by the stage functions and the pipeline.
 """
 
 from __future__ import annotations
@@ -31,7 +41,9 @@ import time
 from dataclasses import dataclass, field
 
 from .matching import removal_marginals
-from .model import AllocationScenario
+from .model import (
+    AllocationScenario, connected_components, iter_bits, mask_from_indices, neighbor_masks,
+)
 
 REL_TOL = 1e-9
 
@@ -46,6 +58,8 @@ class PreprocessReport:
     components: list[AllocationScenario]
     stage_counts: dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
+    # seconds per stage: "separate", "prune" and "components"
+    stage_times: dict[str, float] = field(default_factory=dict)
 
     def resolved_values(self) -> dict[str, float]:
         out = {a: 0.0 for a in self.removed_empty}
@@ -88,11 +102,10 @@ class PreprocessReport:
 
 def drop_empty_agents(scenario: AllocationScenario) -> tuple[tuple[str, ...], AllocationScenario]:
     """Remove agents with an empty interest set; their Shapley value is 0."""
-    empty = tuple(a for i, a in enumerate(scenario.agents) if not scenario.interest[i])
+    empty = tuple(a for a, row in zip(scenario.agents, scenario.interest) if not row)
     if not empty:
         return (), scenario
-    keep = [a for a in scenario.agents if a not in set(empty)]
-    return empty, scenario.restrict(keep)
+    return empty, scenario.restrict(a for a, row in zip(scenario.agents, scenario.interest) if row)
 
 
 def strip_null_goods(scenario: AllocationScenario) -> AllocationScenario:
@@ -120,6 +133,17 @@ def split_components(scenario: AllocationScenario) -> list[AllocationScenario]:
     return [scenario.restrict(scenario.ids_of(mask)) for mask in comps]
 
 
+def _separable(scenario: AllocationScenario, live: int, tol: float) -> dict[int, float]:
+    """``{i: opt({i})}`` for each member i of ``live`` whose marginal
+    v(live) - v(live - i) reaches opt({i}) within ``tol * max(1, opt({i}))``."""
+    out: dict[int, float] = {}
+    for i, marg in removal_marginals(scenario, live).items():
+        solo = float(scenario.solo_value[i])
+        if marg >= solo - tol * max(1.0, solo):
+            out[i] = solo
+    return out
+
+
 def separate_singletons(
     scenario: AllocationScenario,
     tol: float = REL_TOL,
@@ -143,18 +167,33 @@ def separate_singletons(
     where its component's solver values it in the same reduced game; a
     fixpoint would have resolved it too.
     """
-    margs = removal_marginals(scenario, scenario.full_mask)
-    resolved: dict[str, float] = {}
-    keep: list[str] = []
-    for i, a in enumerate(scenario.agents):
-        solo = float(scenario.solo_value[i])
-        if margs[i] >= solo - tol * max(1.0, solo):
-            resolved[a] = solo
-        else:
-            keep.append(a)
+    resolved = _separable(scenario, scenario.full_mask, tol)
     if not resolved:
         return {}, scenario
-    return resolved, scenario.restrict(keep)
+    rest = (a for i, a in enumerate(scenario.agents) if i not in resolved)
+    return {scenario.agents[i]: v for i, v in resolved.items()}, scenario.restrict(rest)
+
+
+def _useful_goods(
+    scenario: AllocationScenario, live: int, rows, tol: float
+) -> tuple[dict[int, list[int]], list[tuple[str, str]]]:
+    """The pruning rule over the members of ``live``: each member's goods in
+    ``rows[i]`` that it keeps, and the ``(agent id, good id)`` pairs it
+    prunes, in member and row order."""
+    values = scenario.good_value_list
+    kept: dict[int, list[int]] = {}
+    pruned: list[tuple[str, str]] = []
+    for i, marg in removal_marginals(scenario, live).items():
+        top = scenario.solo_goods(i)[: scenario.k - 1]
+        top_rest = float(sum(values[g] for g in top))
+        bar = marg - tol * max(1.0, marg)
+        keep = kept[i] = []
+        for j in rows[i]:
+            if j not in top and values[j] + top_rest < bar:
+                pruned.append((scenario.agents[i], scenario.good_ids[j]))
+            else:
+                keep.append(j)
+    return kept, pruned
 
 
 def prune_useless_goods(
@@ -181,58 +220,107 @@ def prune_useless_goods(
     one exactly as its own greedy does, and the marginals, hence the pruned
     pairs, are bit for bit those of pruning each component alone.
     """
-    values = scenario.good_value_list
-    margs = removal_marginals(scenario, scenario.full_mask)
-    pruned: list[tuple[str, str]] = []
-    new_interest: dict[str, list[str]] = {}
-    for i, a in enumerate(scenario.agents):
-        top = scenario.solo_goods(i)[: scenario.k - 1]
-        top_rest = float(sum(values[g] for g in top))
-        bar = margs[i] - tol * max(1.0, margs[i])
-        keep: list[str] = []
-        for j in scenario.interest[i]:
-            if j not in top and values[j] + top_rest < bar:
-                pruned.append((a, scenario.good_ids[j]))
-            else:
-                keep.append(scenario.good_ids[j])
-        new_interest[a] = keep
+    kept, pruned = _useful_goods(scenario, scenario.full_mask, scenario.interest, tol)
     if not pruned:
         return scenario, []
-    goods = list(zip(scenario.good_ids, scenario.good_value_list))
-    return AllocationScenario(scenario.agents, goods, new_interest, scenario.k), pruned
+    ids = scenario.good_ids
+    interest = {a: [ids[j] for j in kept[i]] for i, a in enumerate(scenario.agents)}
+    goods = list(zip(ids, scenario.good_value_list))
+    return AllocationScenario(scenario.agents, goods, interest, scenario.k), pruned
+
+
+def _sub_scenario(
+    scenario: AllocationScenario, members: int, goods, rows: dict[int, list[int]]
+) -> AllocationScenario:
+    """The members of ``members``, the ``goods`` (ascending) and each
+    member's interest ``rows[i]``, as a scenario in declaration order."""
+    agents, ids, values = scenario.agents, scenario.good_ids, scenario.good_value_list
+    return AllocationScenario(
+        [agents[i] for i in iter_bits(members)],
+        [(ids[j], values[j]) for j in goods],
+        {agents[i]: [ids[j] for j in rows[i]] for i in iter_bits(members)},
+        scenario.k,
+    )
 
 
 def run_pipeline(scenario: AllocationScenario) -> PreprocessReport:
-    """Full simplification pass; deterministic for a given scenario."""
+    """Full simplification pass; deterministic for a given scenario.
+
+    The same outcome as ``drop_empty_agents``, ``strip_null_goods``,
+    ``separate_singletons``, ``prune_useless_goods`` and
+    ``split_components`` run in turn, without their intermediate scenarios:
+    stages 3 and 4 pass coalition masks over ``scenario`` itself, and only
+    the residual components are built, once each.  When no stage changes
+    anything, the one component is ``scenario``.  ``stage_times`` holds the
+    seconds spent separating, pruning and building the components.
+    """
     t0 = time.perf_counter()
+    agents, interest, values = scenario.agents, scenario.interest, scenario.good_value_list
     stage: dict[str, int] = {}
 
-    empty, s = drop_empty_agents(scenario)
+    empty = tuple(a for a, row in zip(agents, interest) if not row)
     stage["empty_agents_removed"] = len(empty)
-
-    before_goods = len(s.good_ids)
-    s = strip_null_goods(s)
-    null_removed = before_goods - len(s.good_ids)
+    # the stages keep every declared good until an agent is dropped, then
+    # only the goods the remaining agents name
+    declared = set().union(*interest) if empty else range(len(values))
+    null_removed = sum(1 for j in declared if not values[j] > 0.0)
     stage["null_goods_removed"] = null_removed
+    rows = interest
+    if null_removed:
+        rows = [tuple(j for j in row if values[j] > 0.0) for row in interest]
 
-    resolved, s = separate_singletons(s)
+    t_sep = time.perf_counter()
+    live = mask_from_indices(i for i, row in enumerate(interest) if row)
+    resolved = _separable(scenario, live, REL_TOL)
+    rest = live & ~mask_from_indices(resolved)
+    split = list(connected_components(rest, scenario.graph.neighbor_masks))
     stage["separable_agents_resolved"] = len(resolved)
-    stage["components_after_split"] = len(s.graph.components())
+    stage["components_after_split"] = len(split)
 
-    s, pruned = prune_useless_goods(s)
+    t_prune = time.perf_counter()
+    kept, pruned = _useful_goods(scenario, rest, rows, REL_TOL)
     stage["useless_pairs_pruned"] = len(pruned)
-    final_components = split_components(s) if s.n else []
-    stage["final_components"] = len(final_components)
+
+    t_comp = time.perf_counter()
+    if pruned:
+        claimers: dict[int, list[int]] = {}
+        for i, row in kept.items():
+            for j in row:
+                claimers.setdefault(j, []).append(i)
+        split = list(connected_components(rest, neighbor_masks(scenario.n, claimers.values())))
+    if len(split) != 1:
+        components = [
+            _sub_scenario(scenario, mask, sorted(set().union(*map(kept.get, iter_bits(mask)))), kept)
+            for mask in split
+        ]
+    elif not (empty or null_removed or resolved or pruned):
+        components = [scenario]
+    else:
+        # split_components keeps a lone component whole, with the goods of
+        # the scenario pruning read: those its agents name once an agent is
+        # dropped, else every declared positive good
+        if empty or resolved:
+            goods = sorted(set().union(*(rows[i] for i in iter_bits(rest))))
+        else:
+            goods = [j for j, v in enumerate(values) if v > 0.0]
+        components = [_sub_scenario(scenario, rest, goods, kept)]
+    stage["final_components"] = len(components)
+    t_end = time.perf_counter()
 
     report = PreprocessReport(
         original_agents=scenario.agents,
         removed_empty=empty,
         null_goods_removed=null_removed,
-        resolved=resolved,
+        resolved={agents[i]: v for i, v in resolved.items()},
         pruned_pairs=tuple(pruned),
-        components=final_components,
+        components=components,
         stage_counts=stage,
-        wall_time=time.perf_counter() - t0,
+        stage_times={
+            "separate": t_prune - t_sep,
+            "prune": t_comp - t_prune,
+            "components": t_end - t_comp,
+        },
+        wall_time=t_end - t0,
     )
     report.check_partition()
     return report

@@ -92,6 +92,16 @@ class ShapleyReport:
             return cls.from_dict(json.load(fh))
 
 
+def finite_number(v) -> bool:
+    """Whether ``v`` is an int or float, not a bool, that a float holds finitely."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _checked(record):
     """The record, once each field it holds has the JSON type its value needs.
 
@@ -110,9 +120,7 @@ def _checked(record):
             raise bad(key, "a string")
     for key in ("value", "lb", "ub", "epsilon", "delta"):
         v = record.get(key)
-        if v is not None and (
-            isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
-        ):
+        if v is not None and not finite_number(v):
             raise bad(key, "a finite number or null")
     v = record.get("samples")
     if v is not None and (isinstance(v, bool) or not isinstance(v, int)):

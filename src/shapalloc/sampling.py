@@ -27,7 +27,8 @@ sampler's loop mode and the range sampler walk in one job, ``_walk_job``,
 which leaves the carried allocation to ``matching``.
 Randomness is confined to per-job streams keyed by (master seed, sampler,
 key, batch), and job partials merge in job order, so reports are identical
-for any worker count.
+for any worker count.  A job draws its batch's permutations with one call
+(``_permutations``), the same rows as one ``rng.permutation(n)`` per walk.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ def _check_integer(name: str, value, least: int) -> None:
 
 def _job_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def _permutations(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` permutations of ``range(n)``, one per row, in one call: numpy
+    shuffles each row in turn as ``rng.permutation(n)`` does, so row s is the
+    s-th of ``count`` such calls, from the same stream."""
+    return rng.permuted(np.tile(np.arange(n), (count, 1)), axis=1)
 
 
 def _run_batched(job_fn, budgets, payload, workers: int):
@@ -133,10 +141,11 @@ def _walk_job(payload, job):
 
     The payload names the stream, 0 for the permutation sampler and 1 for
     the range sampler, each agent's cap and each agent's grand marginal
-    v(N) - v(N - j); the job draws from ``(seed, stream, key, batch)``.
-    Walk t of a key is ``batch * BATCH + s``, agent j's contribution counts
-    iff t < caps[j], and the walk stops once the last agent still owed one
-    is placed.  The permutation sampler caps every agent at its walks per
+    v(N) - v(N - j); the job draws its ``count`` permutations from
+    ``(seed, stream, key, batch)`` in one ``_permutations`` call, row s
+    being walk s.  Walk t of a key is ``batch * BATCH + s``, agent j's
+    contribution counts iff t < caps[j], and the walk stops once the last
+    agent still owed one is placed.  The permutation sampler caps every agent at its walks per
     run, so all of each walk counts.
 
     A walk carries an optimal allocation of the prefix and adds its agents
@@ -156,8 +165,7 @@ def _walk_job(payload, job):
     sums = [0.0] * n
     hits = 0
     steps = 0
-    for s in range(count):
-        perm = rng.permutation(n).tolist()
+    for s, perm in enumerate(_permutations(rng, n, count).tolist()):
         t = batch_idx * BATCH + s
         stop = n
         while caps[perm[stop - 1]] <= t:
@@ -184,7 +192,7 @@ def _fpras_table_job(payload, job):
     vtab, neigh_arr, solo_arr, n, seed = payload
     run, batch_idx, count = job
     rng = _job_rng(seed, 0, run, batch_idx)
-    perms = np.vstack([rng.permutation(n) for _ in range(count)])
+    perms = _permutations(rng, n, count)
     bitvals = np.int64(1) << perms.astype(np.int64)
     after = np.cumsum(bitvals, axis=1)
     before = after - bitvals

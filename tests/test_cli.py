@@ -414,6 +414,41 @@ def test_missing_file_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# a JSON integer too large for a float: 10**400 overflows float()
+HUGE = 10**400
+
+
+def test_scenario_value_beyond_float_range_fails_cleanly(tmp_path, capsys):
+    data = three_agent_game().to_dict()
+    data["goods"][0]["value"] = HUGE
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("opt", "--scenario", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and repr(data["goods"][0]["id"]) in err
+
+
+def test_range_sample_lower_bound_beyond_float_range_fails_cleanly(ref_file, tmp_path, capsys):
+    lb_path = tmp_path / "lbs.json"
+    lb_path.write_text(json.dumps({"a1": HUGE, "a2": 2.0, "a3": 1.0}))
+    assert run_cli("range-sample", "--scenario", ref_file, "--epsilon", "0.1",
+                   "--delta", "0.05", "--mode", "rel", "--lb-file", str(lb_path),
+                   "--threads", "1") == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "'a1'" in err
+
+
+def test_compare_value_beyond_float_range_fails_cleanly(ref_file, tmp_path, capsys):
+    rep_path = tmp_path / "rep.json"
+    run_cli("exact", "--scenario", ref_file, "--threads", "1", "--out", str(rep_path))
+    record = load(rep_path)["agents"][0]
+    bad_path = tmp_path / "huge.json"
+    bad_path.write_text(json.dumps({"agents": [{**record, "value": HUGE}]}))
+    assert run_cli("compare", "--report-a", str(rep_path), "--report-b", str(bad_path)) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "'value'" in err
+
+
 def test_bad_json_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"k": 1\n "goods": []}')

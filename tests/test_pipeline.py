@@ -131,6 +131,14 @@ def test_solve_timings_split_the_wall_time():
     assert sum(timings.values()) <= meta["wall_time"]
 
 
+def test_solve_reports_the_preprocessing_stage_times():
+    meta = sa.solve(sa.generate(**FUNNEL), exact_limit=16, sampler="range", threads=1).meta
+    stages = meta["preprocess_timings"]
+    assert set(stages) == {"separate", "prune", "components"}
+    assert all(t > 0.0 for t in stages.values())
+    assert sum(stages.values()) <= meta["timings"]["preprocess"]
+
+
 def cluster_scenario(seed: int, clusters: int = 2, size: int = 24) -> sa.AllocationScenario:
     """Disjoint clusters, each a random spanning tree of shared goods plus 3
     extra shared goods, with a private good for about half the agents."""

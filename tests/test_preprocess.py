@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import shapalloc as sa
@@ -24,6 +25,73 @@ def per_component_pruning(scn):
         pairs.update(pruned)
         comps.extend(sa.split_components(comp2) if pruned else [comp2])
     return pairs, {frozenset(c.agents) for c in comps}
+
+
+def chained_stages(scn):
+    """``run_pipeline``'s outcome from the five public stage functions run in
+    turn, each on the scenario the one before it built."""
+    empty, s = sa.drop_empty_agents(scn)
+    before = len(s.good_ids)
+    s = sa.strip_null_goods(s)
+    null_removed = before - len(s.good_ids)
+    resolved, s = sa.separate_singletons(s)
+    after_split = len(s.graph.components())
+    s, pruned = sa.prune_useless_goods(s)
+    comps = sa.split_components(s) if s.n else []
+    counts = {
+        "empty_agents_removed": len(empty),
+        "null_goods_removed": null_removed,
+        "separable_agents_resolved": len(resolved),
+        "components_after_split": after_split,
+        "useless_pairs_pruned": len(pruned),
+        "final_components": len(comps),
+    }
+    return empty, resolved, pruned, comps, counts
+
+
+def edge_case_scenario(seed: int) -> sa.AllocationScenario:
+    """Random scenario with empty agents, zero-value and unclaimed goods,
+    tied values, k from 1 to 3 and 0 to 4 claimers per good."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 16))
+    n_goods = int(rng.integers(1, 2 * n + 3))
+    grades = [0.25, 0.5, 0.5, 1.0, 1.0, 2.0] + ([0.0, 0.0] if seed % 3 else [])
+    interest: dict[str, list[str]] = {f"a{i}": [] for i in range(n)}
+    for j in range(n_goods):
+        claimers = int(rng.integers(0, 5))
+        for i in rng.choice(n, size=min(claimers, n), replace=False):
+            interest[f"a{i}"].append(f"g{j}")
+    goods = [(f"g{j}", float(rng.choice(grades))) for j in range(n_goods)]
+    return sa.AllocationScenario(list(interest), goods, interest, int(rng.integers(1, 4)))
+
+
+def test_run_pipeline_matches_the_chained_stage_functions():
+    scenarios = [edge_case_scenario(seed) for seed in range(240)]
+    scenarios += [random_scenario(400 + seed, n=8 + seed % 20, k=1 + seed % 3) for seed in range(20)]
+    scenarios.append(sa.generate(**FUNNEL))
+    seen = set()
+    for scn in scenarios:
+        report = sa.run_pipeline(scn)
+        empty, resolved, pruned, comps, counts = chained_stages(scn)
+        assert report.removed_empty == empty
+        assert [(a, v.hex()) for a, v in report.resolved.items()] == [
+            (a, v.hex()) for a, v in resolved.items()
+        ]
+        assert report.pruned_pairs == tuple(pruned)
+        assert report.stage_counts == counts
+        assert [c.to_dict() for c in report.components] == [c.to_dict() for c in comps]
+        assert [c is scn for c in report.components] == [c is scn for c in comps]
+        dropped = bool(empty or resolved)
+        changed = dropped or bool(counts["null_goods_removed"] or pruned)
+        split_by_pruning = counts["final_components"] > counts["components_after_split"]
+        seen.add((min(len(comps), 2), dropped, changed, split_by_pruning))
+    # the draws reach every way run_pipeline builds its components: none,
+    # several, one after an agent was dropped, one after only goods changed,
+    # the input itself; and pruning that splits a component
+    shapes = {s[:3] for s in seen}
+    assert {0, 2} <= {s[0] for s in seen}
+    assert {(1, True, True), (1, False, True), (1, False, False)} <= shapes
+    assert any(s[3] for s in seen)
 
 
 class TestStripNullGoods:
