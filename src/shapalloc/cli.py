@@ -18,7 +18,7 @@ from . import __version__
 from ._pool import default_workers
 from .bounds import DEFAULT_MAX_NEIGH, shapley_bounds
 from .exact import DEFAULT_LIMIT, exact_shapley
-from .model import ScenarioError, load_scenario
+from .model import ScenarioError, load_scenario, read_json
 from .matching import optimal_allocation
 from .pipeline import SAMPLERS, solve
 from .preprocess import run_pipeline
@@ -124,8 +124,7 @@ def cmd_fpras(args) -> int:
 
 
 def _load_lower_bounds(path: str) -> dict[str, float]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if isinstance(data, dict) and "agents" in data:  # a bounds report
         report = ShapleyReport.from_dict(data)
         bounds = {r.agent: r.lb for r in report.agents if r.lb is not None}

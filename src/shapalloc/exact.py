@@ -33,9 +33,12 @@ matched once, in the one job that enumerates it.  Sums are plain float
 additions in a fixed order; no BLAS routine runs, so the BLAS thread count
 cannot move a bit either.
 
-``worths`` values a whole range of masks at once, bit for bit as
-``model.char_value`` values one.  It serves the permutation sampler's worth
-table.
+``worths`` fills the permutation sampler's worth table from the same
+valued sets, bit for bit as ``model.char_value`` values each mask: S is a
+component of the masks S + D, D a submask of the agents outside S and dS,
+so f(S) is added to each of them.  A mask's components have distinct
+lowest members, and roots run in ascending order, so each mask sums its
+components from 0.0 in ``char_value``'s order.
 """
 
 from __future__ import annotations
@@ -70,47 +73,6 @@ def shapley_weight(csize: int, n: int) -> float:
     return factorial(csize) * factorial(n - csize - 1) / factorial(n)
 
 
-def worths(scenario: AllocationScenario, lo: int, hi: int, store: dict[int, float]) -> np.ndarray:
-    """``char_value`` of every mask in ``lo..hi-1``, bit for bit.
-
-    Each round peels every mask's component holding its lowest member, by
-    frontier expansion over per-byte neighbor tables, values each distinct
-    component once (``matching.optimal_value_only``, memoized in ``store``)
-    and adds the values per mask from 0.0, in ``char_value``'s order.  A
-    mask already peeled to 0 adds the empty coalition's 0.0.
-    """
-    # tables[b][s]: the union of the neighbor masks of the agents 8b + j
-    # for the bits j set in s
-    neigh = scenario.graph.neighbor_masks
-    tables = []
-    for base in range(0, len(neigh), 8):
-        width = min(8, len(neigh) - base)
-        subsets = np.arange(1 << width)
-        table = np.zeros(1 << width, dtype=np.int64)
-        for j in range(width):
-            table[(subsets >> j) & 1 == 1] |= neigh[base + j]
-        tables.append(table)
-    rest = np.arange(lo, hi, dtype=np.int64)
-    out = np.zeros(len(rest))
-    while rest.any():
-        comp = rest & -rest
-        frontier = comp
-        while frontier.any():
-            reach = np.zeros_like(frontier)
-            for b, table in enumerate(tables):
-                reach |= table[(frontier >> (8 * b)) & 255]
-            frontier = reach & rest & ~comp
-            comp |= frontier
-        keys, inverse = np.unique(comp, return_inverse=True)
-        keys = keys.tolist()
-        for c in keys:
-            if c not in store:
-                store[c] = matching.optimal_value_only(scenario, c)
-        out += np.array([store[c] for c in keys])[inverse]
-        rest &= ~comp
-    return out
-
-
 def connected_sets(neighbor_masks, root: int):
     """Every connected set whose lowest member is ``root``, each once.
 
@@ -138,35 +100,59 @@ def connected_sets(neighbor_masks, root: int):
             excluded |= w
 
 
+def _valued_sets(scenario: AllocationScenario, roots):
+    """``(members, boundary, f)`` for every connected set whose lowest member
+    is in ``roots``, root by root in the order given, f being the set's
+    worth ``matching.optimal_value_only``."""
+    neigh = scenario.graph.neighbor_masks
+    for root in roots:
+        for members, boundary in connected_sets(neigh, root):
+            yield members, boundary, matching.optimal_value_only(scenario, members)
+
+
+def worths(scenario: AllocationScenario) -> np.ndarray:
+    """``char_value`` of every mask of ``scenario``, bit for bit: each
+    connected set's worth added to the masks it is a component of, root by
+    root (see the module docstring)."""
+    out = np.zeros(1 << scenario.n)
+    for members, boundary, f in _valued_sets(scenario, range(scenario.n)):
+        # S, then S with each submask of the agents outside S and dS
+        masks = members
+        free = scenario.full_mask & ~(members | boundary)
+        while free:
+            low = free & -free
+            masks = np.bitwise_or.outer((0, low), masks).ravel()
+            free ^= low
+        out[masks] += f
+    return out
+
+
 def _exact_job(payload, roots):
     """Per-agent partial sums over the connected sets of the roots
     ``roots[0]..roots[1]-1``, with the values of the sets that have no
     boundary (components of the whole graph), in root order, and the
     number of sets."""
     scenario, gain_weight, loss_weight = payload
-    neigh = scenario.graph.neighbor_masks
     partial = [0.0] * scenario.n
     components = []
     count = 0
-    for root in range(*roots):
-        for members, boundary in connected_sets(neigh, root):
-            count += 1
-            f = matching.optimal_value_only(scenario, members)
-            if not boundary:
-                components.append(f)
-            if not f:
-                continue  # adds and subtracts only zeros
-            s, b = members.bit_count(), boundary.bit_count()
-            gain = f * gain_weight[s][b]
-            while members:
-                low = members & -members
-                partial[low.bit_length() - 1] += gain
-                members ^= low
-            loss = f * loss_weight[s][b]
-            while boundary:
-                low = boundary & -boundary
-                partial[low.bit_length() - 1] -= loss
-                boundary ^= low
+    for members, boundary, f in _valued_sets(scenario, range(*roots)):
+        count += 1
+        if not boundary:
+            components.append(f)
+        if not f:
+            continue  # adds and subtracts only zeros
+        s, b = members.bit_count(), boundary.bit_count()
+        gain = f * gain_weight[s][b]
+        while members:
+            low = members & -members
+            partial[low.bit_length() - 1] += gain
+            members ^= low
+        loss = f * loss_weight[s][b]
+        while boundary:
+            low = boundary & -boundary
+            partial[low.bit_length() - 1] -= loss
+            boundary ^= low
     return partial, components, count
 
 

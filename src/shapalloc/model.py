@@ -245,16 +245,22 @@ class AllocationScenario:
         )
 
 
+def read_json(path: str):
+    """The JSON value in the file at ``path``.
+
+    A file that is not UTF-8, not JSON, or holds an integer longer than the
+    interpreter converts raises ``ScenarioError`` naming ``path``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # a decode, a JSON syntax or a digit-limit error
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def load_scenario(path: str) -> AllocationScenario:
     """Load a scenario from its canonical JSON file format."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = read_json(path)
     try:
         return AllocationScenario.from_dict(data)
     except ScenarioError as exc:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Iterable
 
-from .model import ScenarioError
+from .model import ScenarioError, read_json
 
 
 @dataclass
@@ -88,8 +88,7 @@ class ShapleyReport:
 
     @classmethod
     def load(cls, path: str) -> "ShapleyReport":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 def finite_number(v) -> bool:

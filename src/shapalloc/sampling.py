@@ -229,10 +229,11 @@ def fpras_shapley(
     grand marginal.  The grand marginals come from one
     ``matching.removal_marginals`` greedy and the rescale target v(N) from
     ``char_value``, so on a connected component loop mode's ``meta``
-    reports ``matchings`` 2.  The table comes from ``exact.worths``, one
-    matching per distinct component, and its last entry is v(N).  ``cache`` is
-    inert: nothing is looked up in it or stored in it, and it stays so that
-    callers passing it positionally keep working.
+    reports ``matchings`` 2.  The table comes from ``exact.worths``, which
+    matches each connected set of two or more agents once and adds its
+    worth to every mask it is a component of; its last entry is v(N).
+    ``cache`` is inert: nothing is looked up in it or stored in it, and it
+    stays so that callers passing it positionally keep working.
 
     The table is used when the component has at most ``TABLE_LIMIT`` agents
     and the budget covers its 2^n entries.  The mode sets only the speed:
@@ -249,7 +250,7 @@ def fpras_shapley(
 
     budgets = [(run, perms_per_run) for run in range(cfg.runs)]
     if use_table:
-        vtab, work = _pool.counted(worths, scenario, 0, 1 << n, {})
+        vtab, work = _pool.counted(worths, scenario)
         payload = (
             vtab,
             np.asarray(scenario.graph.neighbor_masks, dtype=np.int64),

@@ -456,6 +456,46 @@ def test_bad_json_reports_line(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+# files no JSON reader can turn into a value: an integer beyond Python's
+# digit limit, a truncated text, and UTF-16 bytes (starting \xff\xfe)
+UNREADABLE_JSON = {
+    "long_integer": b'{"k": 1, "goods": [{"id": "g", "value": ' + b"9" * 5001 + b"}]}",
+    "truncated": b'{"agents": [{"agent": ',
+    "utf16": json.dumps({"k": 1}).encode("utf-16"),
+}
+
+
+def _unreadable(tmp_path, name) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE_JSON[name])
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_JSON))
+def test_unreadable_scenario_names_the_file(tmp_path, capsys, name):
+    path = _unreadable(tmp_path, name)
+    assert run_cli("opt", "--scenario", path) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_JSON))
+def test_unreadable_lb_file_names_the_file(ref_file, tmp_path, capsys, name):
+    path = _unreadable(tmp_path, name)
+    assert run_cli("range-sample", "--scenario", ref_file, "--epsilon", "0.1",
+                   "--delta", "0.05", "--mode", "rel", "--lb-file", path,
+                   "--threads", "1") == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_JSON))
+def test_unreadable_report_names_the_file(ref_file, tmp_path, capsys, name):
+    rep_path = tmp_path / "rep.json"
+    run_cli("exact", "--scenario", ref_file, "--threads", "1", "--out", str(rep_path))
+    path = _unreadable(tmp_path, name)
+    assert run_cli("compare", "--report-a", str(rep_path), "--report-b", path) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "shapalloc.cli", "--version"],

@@ -208,7 +208,8 @@ class TestExactShapley:
 
     @pytest.mark.parametrize("job_bits", [14, 3])
     def test_values_match_exact_arithmetic_within_a_few_ulps(self, monkeypatch, job_bits):
-        # the same sums in Fraction arithmetic, from the same worths and the
+        # the Shapley sums over all 2^n masks in Fraction arithmetic, from
+        # char_value's worths (not the connected-set kernel's) and the
         # unrounded weights; the member and non-member sums can cancel, so
         # the error is measured in ulps of the sum of the terms' magnitudes
         # (the worst seen is about 1 ulp).  With JOB_BITS 3 every component
@@ -217,7 +218,7 @@ class TestExactShapley:
         for seed in range(300, 340):
             n = 1 + seed % 10
             scn = random_scenario(seed, n=n, k=1 + seed % 3)
-            v = [Fraction(float(x)) for x in exact.worths(scn, 0, 1 << n, {})]
+            v = [Fraction(sa.char_value(scn, m)) for m in range(1 << n)]
             w = [Fraction(factorial(s) * factorial(n - s - 1), factorial(n)) for s in range(n)]
             got = [r.value for r in sa.exact_shapley(scn).agents]
             for i in range(n):
@@ -277,22 +278,11 @@ def _worths_instances():
 
 
 def test_worths_match_char_value_bit_for_bit():
-    rng = np.random.default_rng(5)
     instances = _worths_instances()
     assert len(instances) >= 40
     for idx, scn in enumerate(instances):
-        total = 1 << scn.n
-        want = [sa.char_value(scn, m).hex() for m in range(total)]
-        # uneven ranges, most starting above 0, all sharing one store
-        cuts = sorted({0, total, *rng.integers(0, total, size=3).tolist()})
-        store: dict[int, float] = {}
-        got = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            got.extend(float(v).hex() for v in exact.worths(scn, lo, hi, store))
-        assert got == want, idx
-        # a fresh store over a range that starts above 0
-        lo = total // 3
-        assert [float(v).hex() for v in exact.worths(scn, lo, total, {})] == want[lo:], idx
+        want = [sa.char_value(scn, m).hex() for m in range(1 << scn.n)]
+        assert [float(v).hex() for v in exact.worths(scn)] == want, idx
 
 
 def _graph_scenario(n: int, edges, idle=()) -> sa.AllocationScenario:

@@ -227,7 +227,7 @@ class TestFpras:
         for inst in range(12):
             scn = random_scenario(900 + inst, n=3 + inst % 10)
             n = scn.n
-            vtab = exact.worths(scn, 0, 1 << n, {})
+            vtab = exact.worths(scn)
             neigh = np.asarray(scn.graph.neighbor_masks, dtype=np.int64)
             table_payload = (vtab, neigh, scn.solo_value, n, seed)
             # every agent is owed every walk of these jobs
