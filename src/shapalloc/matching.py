@@ -13,10 +13,10 @@ interested in those goods, up to a member holding fewer than ``k``;
 
 Goods with value zero are never taken: the greedy scans only its members'
 ``scenario.ranked_interest``.  Goods are taken in one fixed order
-(value descending, ties by ascending good index) and a coalition's value is
-the sum of its kept goods in ascending good index, so it is a deterministic
-function of the scenario and the coalition.  Every solver in the package
-funnels through this kernel.
+(value descending, ties by ascending good index).  Every sum of good values
+is taken best first (``model.sum_best_first``), so a coalition's value
+depends only on the coalition, not on which optimum holds it.  Every solver
+in the package funnels through this kernel.
 
 An allocation is carried as two flat lists, and only this module reads or
 writes them: ``holder`` has one slot per good, the agent holding it or -1
@@ -49,9 +49,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .model import Coalition, ScenarioError, iter_bits
+from .model import Coalition, ScenarioError, iter_bits, sum_best_first
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import AllocationScenario
@@ -165,18 +163,16 @@ def greedy(
 
 
 def _value(scenario: "AllocationScenario", kept: list[int]) -> float:
-    """Total value of the kept goods, summed in ascending good index."""
-    if not kept:
-        return 0.0
-    return float(np.sum(scenario.good_values[sorted(kept)]))
+    """The value of the greedy's kept goods, which it takes best first."""
+    return sum_best_first(map(scenario.good_value_list.__getitem__, kept))
 
 
 def optimal_value_only(scenario: "AllocationScenario", coalition: Coalition) -> float:
     """Maximum total value of a feasible allocation for the coalition.
 
-    Fast path that skips reconstructing who-gets-what.  The value is summed
-    over the selected goods in ascending good order, so it is a deterministic
-    function of the scenario and the coalition.
+    Skips reconstructing who-gets-what.  The kept goods are summed best
+    first, so any optimum's goods read back best first give the same float;
+    a singleton's is its ``solo_value``, read without a greedy.
     """
     if coalition == 0:
         return 0.0
@@ -198,14 +194,12 @@ def add_agents(
     coalition with it.  Returns each agent's gain, in order, and how many
     agents had no neighbor in the coalition when they joined.
 
-    Per agent, the solo goods, their best-first sum, ``solo_value[i]`` as a
-    float and the unit count come from ``scenario.walk_table``, built on
-    the first call for a scenario and kept with it.  An agent whose solo
-    goods are all free takes them with no search: no marginal exceeds
-    opt({i}), which that bundle reaches.  With no neighbor in the coalition
-    (``scenario.graph.neighbor_lists``) its gain is ``solo_value[i]``;
-    otherwise the goods' values summed best first from 0.0, the float the
-    search below returns for the same goods.
+    Per agent, the solo goods, ``solo_value[i]`` as a float and the unit
+    count come from ``scenario.walk_table``, built on the first call for a
+    scenario and kept with it.  An agent whose solo goods are all free takes
+    them with no search: no marginal exceeds opt({i}), which that bundle
+    reaches.  Its gain is ``solo_value[i]``, the goods' values summed best
+    first, the float the search below returns for the same goods.
 
     Any other agent is added one capacity unit at a time.  Adding a unit
     changes the optimal allocation by a single alternating path from ``i``,
@@ -214,7 +208,7 @@ def add_agents(
     reduces to a reachability search over displacement moves and the best
     gain is the most valuable reachable free good.  Gains are
     non-increasing, so the greedy sum over at most k units is exact
-    (Edmonds 1971).
+    (Edmonds 1971), and adding them as found sums the gains best first.
 
     The search is bounded by value.  Take an optimal allocation, a held good
     g and any path that frees g and ends at a free good d: the path is an
@@ -245,23 +239,20 @@ def add_agents(
     parent = mark = None
     stamp = 255
     for i in agents:
-        solo, solo_sum, solo_value, units = table[i]
+        solo, solo_value, units = table[i]
         for g in solo:
             if holder[g] >= 0:
                 break
         else:
             for b in neighbors[i]:
                 if held[b] is not None:
-                    # a neighbor is a member: the search's sum, best first
-                    total = solo_sum
                     break
             else:
                 hits += 1
-                total = solo_value
             held[i] = list(solo)
             for g in solo:
                 holder[g] = i
-            gains.append(total)
+            gains.append(solo_value)
             continue
         searched += 1
         mine = held[i] = []
@@ -380,9 +371,9 @@ def remove_agent(
     goods, finds the cheapest such path: 0 if it reaches a member holding
     fewer than ``k`` goods, else the least valuable good visited (the first
     in breadth-first order on ties).  The losses are the unit gains
-    ``add_agent`` finds when ``i`` comes back, so they are summed in
-    descending order to give ``marginal_gain(S - i, i)`` bit for bit.  Call
-    ``add_agent`` afterwards to probe without keeping the change.
+    ``add_agent`` finds when ``i`` comes back, so summed best first they
+    give ``marginal_gain(S - i, i)`` bit for bit.  Call ``add_agent``
+    afterwards to probe without keeping the change.
     """
     global _SEARCH_CALLS
     _SEARCH_CALLS += 1
@@ -406,7 +397,7 @@ def remove_agent(
             held[h].remove(g)
             taker, g = h, parent[g]
         mine.remove(_shift(holder, held, taker, g, parent))
-    return sum(sorted(losses, reverse=True), 0.0)
+    return sum_best_first(sorted(losses, reverse=True))
 
 
 def removal_marginals(scenario: "AllocationScenario", coalition: Coalition) -> dict[int, float]:
@@ -451,17 +442,8 @@ def optimal_allocation(
 ) -> tuple[dict[str, frozenset[str]], float]:
     """An optimal feasible allocation for the coalition, as ``{agent id:
     frozenset of good ids}``, with its value."""
-    if coalition == 0:
-        return {}, 0.0
     assignment: dict[str, set[str]] = {a: set() for a in scenario.ids_of(coalition)}
-    if coalition & (coalition - 1) == 0:
-        i = coalition.bit_length() - 1
-        for j in scenario.solo_goods(i):
-            assignment[scenario.agents[i]].add(scenario.good_ids[j])
-        value = float(scenario.solo_value[i])
-    else:
-        holder, _, kept = greedy(scenario, coalition)
-        for g in kept:
-            assignment[scenario.agents[holder[g]]].add(scenario.good_ids[g])
-        value = _value(scenario, kept)
-    return {a: frozenset(g) for a, g in assignment.items()}, value
+    holder, _, kept = greedy(scenario, coalition)
+    for g in kept:
+        assignment[scenario.agents[holder[g]]].add(scenario.good_ids[g])
+    return {a: frozenset(g) for a, g in assignment.items()}, _value(scenario, kept)

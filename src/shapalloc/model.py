@@ -97,8 +97,8 @@ class AllocationScenario:
         # Positive-value goods drive both matching and the agents graph.
         # Each agent's, in the greedy's order, which ``matching.add_agent``
         # scans best first.  The first `k` are the best goods the agent can
-        # get alone, whose sum is the canonical singleton worth used by
-        # every solver, so the float is computed once here.
+        # get alone; their sum, best first (``sum_best_first``), is the
+        # singleton worth every solver reads, computed once here.
         values = self.good_value_list
         self.ranked_interest: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted((j for j in row if values[j] > 0.0), key=self.good_rank.__getitem__))
@@ -111,11 +111,9 @@ class AllocationScenario:
             for j in ranked:
                 claimers[j].append(i)
         self.good_claimers: tuple[tuple[int, ...], ...] = tuple(map(tuple, claimers))
-        solo = np.zeros(len(self.agents), dtype=np.float64)
-        for i, ranked in enumerate(self.ranked_interest):
-            if ranked:
-                solo[i] = float(np.sum(self.good_values[list(ranked[: self.k])]))
-        self.solo_value = solo
+        self.solo_value = np.array(
+            [sum_best_first(map(values.__getitem__, r[: self.k])) for r in self.ranked_interest]
+        )
 
         self._graph: AgentsGraph | None = None
 
@@ -154,22 +152,19 @@ class AllocationScenario:
 
     # set on first use of ``walk_table``; a class default, so construction
     # pays nothing for scenarios no walk reaches
-    _walk_table: "list[tuple[tuple[int, ...], float, float, int]] | None" = None
+    _walk_table: "list[tuple[tuple[int, ...], float, int]] | None" = None
 
     @property
-    def walk_table(self) -> list[tuple[tuple[int, ...], float, float, int]]:
+    def walk_table(self) -> list[tuple[tuple[int, ...], float, int]]:
         """Per agent, what ``matching.add_agents`` reads for it: its solo
-        goods, their values summed best first from 0.0, ``solo_value`` as a
-        float, and its unit count ``min(k, len(ranked_interest[i]))``."""
+        goods, ``solo_value`` as a float (their values summed best first)
+        and its unit count ``min(k, len(ranked_interest[i]))``."""
         if self._walk_table is None:
-            k, values = self.k, self.good_value_list
-            table = []
-            for own, solo in zip(self.ranked_interest, self.solo_value.tolist()):
-                total = 0.0
-                for g in own[:k]:
-                    total += values[g]
-                table.append((own[:k], total, solo, min(k, len(own))))
-            self._walk_table = table
+            k = self.k
+            self._walk_table = [
+                (own[:k], solo, min(k, len(own)))
+                for own, solo in zip(self.ranked_interest, self.solo_value.tolist())
+            ]
         return self._walk_table
 
     # -- coalitions --------------------------------------------------------
@@ -271,6 +266,19 @@ def save_scenario(scenario: AllocationScenario, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scenario.to_dict(), fh, indent=2)
         fh.write("\n")
+
+
+def sum_best_first(values: Iterable[float]) -> float:
+    """Good values given best first, added left to right from 0.0: the one
+    rule for every sum of good values in the package.  Every optimum keeps
+    the same multiset of values (Edmonds 1971), so a worth summed so depends
+    only on its coalition; unlike the built-in ``sum`` (compensated from
+    Python 3.12) or ``np.sum`` (pairwise from 8 terms), the loop gives the
+    same float on every interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 # -- bit helpers -------------------------------------------------------------

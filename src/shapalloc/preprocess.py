@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from .matching import removal_marginals
 from .model import (
     AllocationScenario, connected_components, iter_bits, mask_from_indices, neighbor_masks,
+    sum_best_first,
 )
 
 REL_TOL = 1e-9
@@ -179,13 +180,13 @@ def _useful_goods(
 ) -> tuple[dict[int, list[int]], list[tuple[str, str]]]:
     """The pruning rule over the members of ``live``: each member's goods in
     ``rows[i]`` that it keeps, and the ``(agent id, good id)`` pairs it
-    prunes, in member and row order."""
+    prunes, in member and row order; ``top`` is summed best first."""
     values = scenario.good_value_list
     kept: dict[int, list[int]] = {}
     pruned: list[tuple[str, str]] = []
     for i, marg in removal_marginals(scenario, live).items():
         top = scenario.solo_goods(i)[: scenario.k - 1]
-        top_rest = float(sum(values[g] for g in top))
+        top_rest = sum_best_first(map(values.__getitem__, top))
         bar = marg - tol * max(1.0, marg)
         keep = kept[i] = []
         for j in rows[i]:

@@ -340,7 +340,7 @@ def reference_remove_agent(scenario, holder, held, i: int) -> float:
     Each capacity unit ``i`` gives up is re-placed by a breadth-first search
     over goods from ``i``'s goods to a member with room; when none has room,
     the first cheapest good visited is dropped.  The losses are summed in
-    descending order.
+    descending order, left to right from 0.0.
     """
     k = scenario.k
     claimers, values = scenario.good_claimers, scenario.good_value_list
@@ -395,7 +395,10 @@ def reference_remove_agent(scenario, holder, held, i: int) -> float:
                 break
             held[h].remove(g)
             taker, g = h, prev
-    return sum(sorted(losses, reverse=True), 0.0)
+    total = 0.0
+    for v in sorted(losses, reverse=True):
+        total += v
+    return total
 
 
 def permutation_walk(scenario, perm, holder, held, add=reference_add_agent):

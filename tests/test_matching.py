@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import shapalloc as sa
-from shapalloc import matching
+from shapalloc import exact, matching
+from shapalloc.model import sum_best_first
 
 from conftest import random_scenario
 from oracles import (
@@ -14,6 +15,7 @@ from oracles import (
     reference_remove_agent,
     validate_allocation,
 )
+from test_acceptance import FUNNEL
 
 
 def test_single_agent_takes_both_goods():
@@ -392,3 +394,63 @@ def test_greedy_and_remove_agent_match_the_frozen_kernels_mid_size():
         ]
         _kernels_match_references(scn, coalitions, stats)
     assert stats["dropped"] > 0 and stats["lossy"] > 0, stats
+
+
+def _read_back_matches_the_worth(scn, rng, orders=3):
+    """Every connected set, built by ``add_agents`` in ``orders`` random
+    orders: its held goods' values, read back best first, give
+    ``optimal_value_only`` bit for bit.  Returns the sets checked."""
+    values = scn.good_value_list
+    checked = 0
+    for root in range(scn.n):
+        for members, _ in exact.connected_sets(scn.graph.neighbor_masks, root):
+            want = matching.optimal_value_only(scn, members).hex()
+            agents = list(sa.iter_bits(members))
+            for _ in range(orders):
+                holder, held = matching.empty_allocation(scn)
+                matching.add_agents(scn, holder, held, rng.permutation(agents).tolist())
+                got = sorted((values[g] for a in agents for g in held[a]), reverse=True)
+                assert sum_best_first(got).hex() == want, (members, got)
+            checked += 1
+    return checked
+
+
+def test_a_worth_depends_only_on_its_coalition():
+    # every optimum keeps the same multiset of values, so summed best first
+    # the goods of whichever optimum the walk reached give the worth
+    rng = np.random.default_rng(26)
+    checked = 0
+    for inst in range(12):
+        scn = sa.generate(agents=6 + inst % 7, goods_per_agent=2.0, coauthor_prob=0.6,
+                          max_claimers=3, value_set=(0.1, 0.3, 0.7, 0.9), k=1 + inst % 3,
+                          seed=4000 + inst)
+        checked += _read_back_matches_the_worth(scn, rng)
+    # market-law components, as the exact stage gets them
+    for seed in (1, 2):
+        scn = sa.generate(**{**FUNNEL, "agents": 600, "seed": seed})
+        for comp in sa.run_pipeline(scn).components:
+            if 2 < comp.n <= 12:
+                checked += _read_back_matches_the_worth(comp, rng)
+    assert checked > 4000, checked
+
+
+def test_the_summation_rule_does_not_use_the_interpreters_sum():
+    # left to right from 0.0: the built-in sum, compensated from Python
+    # 3.12, gives 0x1.4cccccccccccdp+1 here
+    best_first = "0x1.4ccccccccccccp+1"
+    assert sum_best_first([1.0, 0.9, 0.7]).hex() == best_first
+    # x holds goods worth 1.0, 0.9 and 0.7; y, full with goods worth 1.0,
+    # also wants x's best one
+    scn = sa.AllocationScenario(
+        ["x", "y"],
+        [("a", 1.0), ("b", 0.9), ("c", 0.7), ("d", 1.0), ("e", 1.0), ("f", 1.0)],
+        {"x": ["a", "b", "c"], "y": ["a", "d", "e", "f"]},
+        k=3,
+    )
+    holder, held, _ = matching.greedy(scn, scn.full_mask)
+    assert sorted(held[0]) == [0, 1, 2] and len(held[1]) == 3
+    assert matching.remove_agent(scn, holder, held, 0).hex() == best_first
+    assert matching.add_agent(scn, holder, held, 0).hex() == best_first
+    # from y's optimum {a, d, e}, x's first unit takes a by a search
+    assert matching.marginal_gain(scn, 0b10, 0).hex() == best_first
+    assert scn.solo_value[0].hex() == best_first
